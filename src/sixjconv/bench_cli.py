@@ -269,6 +269,9 @@ def _suite_geometry(rng) -> str:
     gr = graph.radius(cloud, r_cut=np.inf, max_neighbors=10)
     if any(i in gr.neighbors[i] for i in range(3)):
         return "radius graph grew a self loop at infinite cutoff"
+    err = _check_search_on_lattice()
+    if err:
+        return err
     c = graph.random_cloud(17, seed=5)
     with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "cloud.txt")
@@ -278,6 +281,35 @@ def _suite_geometry(rng) -> str:
         return "save/load round trip is not bit-exact"
     if c2.seed != c.seed or c2.box_side != c.box_side:
         return "save/load lost seed or box_side metadata"
+    return ""
+
+
+def _check_search_on_lattice() -> str:
+    """knn and radius against an exact per-row scan on a 4x4x4 unit lattice,
+    where every shell is a tie and k or r_cut lands on one."""
+    axis = np.arange(4.0)
+    pos = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    cloud = graph.PointCloud(pos)
+    idx = np.arange(pos.shape[0])
+    scans = []
+    for i in idx:
+        d2 = np.sum((pos[i] - pos) ** 2, axis=1)  # exact: integer coordinates
+        order = np.lexsort((idx, d2))
+        order = order[order != i]
+        scans.append((order, d2[order]))
+    for k in (3, 6, 7, 18, 26):
+        g = graph.knn(cloud, k)
+        for i, (order, _) in enumerate(scans):
+            if not np.array_equal(g.neighbors[i], order[:k]):
+                return (f"knn({k}) row {i} on the lattice is {g.neighbors[i].tolist()}, "
+                        f"scan gives {order[:k].tolist()}")
+    for r_cut, cap in ((1.0, 4), (1.0, 10), (2.0, 10), (2.0, 40)):
+        g = graph.radius(cloud, r_cut, cap)
+        for i, (order, d2) in enumerate(scans):
+            want = order[d2 <= r_cut ** 2][:cap]
+            if not np.array_equal(g.neighbors[i], want):
+                return (f"radius({r_cut}, {cap}) row {i} on the lattice is "
+                        f"{g.neighbors[i].tolist()}, scan gives {want.tolist()}")
     return ""
 
 

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .angular import default_cache, triangle_ok
+from .angular import CapacityError, default_cache, triangle_ok
 from .harmonics import presentation_scale, solid_sh
 from .irreps import (
     IrrepTensor,
@@ -237,6 +237,24 @@ def _check_h(h: IrrepTensor, cfg: ConvConfig):
             raise ValueError(
                 f"feature channels {c} do not match cfg.channels {cfg.channels}"
             )
+
+
+def _check_node_degrees(h: IrrepTensor, cfg: ConvConfig):
+    """Reject degrees the node route's exact coefficients cannot reach.
+
+    Stage 1 couples feature degree a with harmonic degree v into every
+    intermediate degree up to a + v, and the 3j/6j cache stops at J_max.
+    """
+    j_max = default_cache.j_max
+    a_max = max(h.layout.degrees, default=0)
+    v_max = max(cfg.degrees, default=0)
+    if a_max + v_max > j_max:
+        raise CapacityError(
+            f"l_max={cfg.l_max} is beyond the node route: feature degree {a_max} "
+            f"and harmonic degree {v_max} couple up to degree {a_max + v_max} > "
+            f"J_max={j_max}; with features up to degree l_max it supports "
+            f"l_max <= {j_max // 2}"
+        )
 
 
 def _out_zeros(n: int, cfg: ConvConfig):
@@ -535,6 +553,7 @@ def node_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None,
     if positions.shape != (n, 3):
         raise ValueError("positions must be (N, 3) and match h")
     _check_h(h, cfg)
+    _check_node_degrees(h, cfg)
     kappa = _resolve_kappa(cfg, kappa)
     plan = _node_plan(h.layout.degrees, cfg, kappa)
     vmax = max((v for _, v, _, _ in plan.p_paths), default=0)
@@ -608,6 +627,7 @@ def attention_node_conv(positions, h: IrrepTensor, alpha, cfg: ConvConfig,
         eps=cfg.eps,
         harmonic_degrees=(cfg.l_max,),
     )
+    _check_node_degrees(h, base)
     kappa = _resolve_kappa(base, kappa)
     plan = _node_plan(h.layout.degrees, base, kappa)
     centers, sources = _edges_of(dense_graph(n), base, n)
@@ -680,6 +700,7 @@ def moments_conv(positions, h: IrrepTensor, cfg: ConvConfig, kappa=None) -> Conv
     if positions.shape != (n, 3):
         raise ValueError("positions must be (N, 3) and match h")
     _check_h(h, cfg)
+    _check_node_degrees(h, cfg)
     kappa = _resolve_kappa(cfg, kappa)
     plan = _node_plan(h.layout.degrees, cfg, kappa)
     vmax = max((v for _, v, _, _ in plan.p_paths), default=0)

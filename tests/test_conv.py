@@ -160,6 +160,34 @@ def test_conv_config_validation():
     assert top.degrees == (2,)
 
 
+def test_node_route_rejects_l_max_beyond_its_coefficients():
+    # the edge route couples only up to l_max and accepts l_max = 7; the
+    # node route couples features of degree 7 with harmonics of degree 7
+    # into degree 14 > J_max = 12 and must say so before any work
+    n = 6
+    cloud = random_cloud(n, seed=3)
+    g = knn(cloud, 3)
+    h = _feat(n, 7, 1, seed=4)
+    cfg = ConvConfig(l_max=7, channels=1)
+    edge_conv(g, cloud.positions, h, cfg)
+    ones = np.ones((n, n))
+    calls = (
+        lambda: node_conv(g, cloud.positions, h, cfg),
+        lambda: attention_node_conv(cloud.positions, h, ones, cfg),
+        lambda: attention_node_conv(cloud.positions, h, ones,
+                                    ConvConfig(l_max=7, channels=1, mode="alg1-literal")),
+        lambda: moments_conv(cloud.positions, h, cfg),
+    )
+    for call in calls:
+        with pytest.raises(CapacityError, match=r"l_max=7 .*l_max <= 6"):
+            call()
+    # low harmonic degrees keep every coupling within J_max
+    low = ConvConfig(l_max=7, channels=1, harmonic_degrees=(0, 1))
+    e = edge_conv(g, cloud.positions, h, low).output.values
+    o = node_conv(g, cloud.positions, h, low).output.values
+    assert _rel(o, e) < 1e-10
+
+
 def test_attention_weights_containers():
     with pytest.raises(ValueError, match="finite"):
         AttentionWeights.from_edges(np.array([1.0, np.nan]))
