@@ -85,8 +85,7 @@ class NeighborGraph:
         return graph
 
     def _set(self, indptr, indices, kind):
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        # both arrays are fresh int64 arrays owned by this graph
         indptr.setflags(write=False)
         indices.setflags(write=False)
         self.indptr, self.indices, self.kind = indptr, indices, kind
