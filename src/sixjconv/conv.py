@@ -19,6 +19,17 @@ the coupling order per center with Wigner 6j coefficients:
 Both routes produce identical outputs (the equivalence suite pins this at
 1e-10); their cost profiles differ: tensor products per edge versus per node.
 
+The node route runs in three stages. Stage 1 forms the j-side products
+P_j^(a, v, d) = [h_j x sh_v(r_j)]^(d): one GEMM contracts each node's
+harmonic sh_v(r_j) with the coupling tables into a per-node operator, which
+one batched matmul applies to all channels of the node. Stages 2 and 3 then
+run one intermediate degree d at a time. Stage 2 stacks the P blocks of that
+d and sums them over each node's neighbours with one sparse matrix product
+(S). Stage 3 forms every 6j-weighted sum x = sum g S of that d with one
+GEMM, then couples x with sh_u(r_i) through a per-node operator per output
+degree, built by one GEMM from the node harmonics and applied by one
+batched matmul. S and x of one d are released before the next.
+
 Normalization modes: "raw-solid" uses the solid harmonics as-is; "unit-Y"
 divides the degree-l edge harmonic by |r_ij|^l, which on the node route is
 absorbed into per-degree aggregation weights alpha_ij / |r_ij|^l. The mode
@@ -39,14 +50,13 @@ testable form of the complexity claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .angular import CapacityError, default_cache, triangle_ok
+from .angular import CapacityError, default_cache, real_cg_table, triangle_ok
 from .harmonics import presentation_scale, solid_sh
 from .irreps import (
     IrrepTensor,
@@ -198,35 +208,42 @@ class ConvResult(NamedTuple):
 
 
 def _edges_of(graph, cfg: ConvConfig, n: int):
+    """Edges in CSR order: centers ascending, sources ascending within a
+    center; with include_self each self edge sits at its sorted place."""
     centers, sources = graph.edge_arrays()
     if cfg.include_self:
         idx = np.arange(n, dtype=np.int64)
-        order = np.argsort(np.concatenate([centers, idx]), kind="stable")
-        centers = np.concatenate([centers, idx])[order]
-        sources = np.concatenate([sources, idx])[order]
+        below = np.bincount(centers[sources < centers], minlength=n)
+        at = np.searchsorted(centers, idx) + below
+        centers = np.insert(centers, at, idx)
+        sources = np.insert(sources, at, idx)
     return centers, sources
 
 
-def _alpha_channels(alpha, centers, sources, channels: int, n: int) -> np.ndarray:
-    """Normalize any accepted alpha form to per-edge per-channel weights.
+def _alpha_heads(alpha, centers, sources, channels: int, n: int) -> np.ndarray:
+    """Normalize any accepted alpha form to per-edge per-head weights (E, H).
 
-    Returns (E, 1) when all channels share a weight, else (E, C). Raw arrays
-    shaped (N, N) or (N, N, H) are taken as dense; anything else per-edge.
+    Head k weights the channels [k C/H, (k+1) C/H). Raw arrays shaped
+    (N, N) or (N, N, H) are taken as dense; anything else per-edge.
     """
-    e = centers.shape[0]
     if alpha is None:
-        return np.ones((e, 1))
+        return np.ones((centers.shape[0], 1))
     if not isinstance(alpha, AttentionWeights):
         arr = np.asarray(alpha, dtype=float)
         dense = arr.ndim >= 2 and arr.shape[:2] == (n, n)
         alpha = AttentionWeights(arr, dense=dense)
     vals = alpha.edge_values(centers, sources)
-    h = vals.shape[1]
-    if h == 1:
-        return vals
-    if channels % h:
-        raise ValueError(f"{h} heads do not divide {channels} channels")
-    return np.repeat(vals, channels // h, axis=1)
+    if channels % vals.shape[1]:
+        raise ValueError(f"{vals.shape[1]} heads do not divide {channels} channels")
+    return vals
+
+
+def _check_inputs(positions, h: IrrepTensor, cfg: ConvConfig) -> np.ndarray:
+    positions = np.asarray(positions, dtype=float)
+    if positions.shape != (h.n_nodes, 3):
+        raise ValueError("positions must be (N, 3) and match h")
+    _check_h(h, cfg)
+    return positions
 
 
 def _check_h(h: IrrepTensor, cfg: ConvConfig):
@@ -266,12 +283,6 @@ def _pack_out(blocks) -> IrrepTensor:
     return IrrepTensor.from_blocks(entries, blocks)
 
 
-@lru_cache(maxsize=None)
-def _w_stack(l1: int, l2: int, louts: tuple) -> np.ndarray:
-    """Column-stacked coupling matrices: ((2l1+1)(2l2+1), sum_l (2l+1))."""
-    return np.concatenate([dense_w(l1, l2, l) for l in louts], axis=1)
-
-
 def _degenerate(centers, sources, dist, eps, what):
     bad = np.flatnonzero(dist < eps)
     if bad.size:
@@ -306,14 +317,15 @@ def edge_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> 
     """
     if cfg.mode == "alg1-literal":
         raise ValueError("alg1-literal is an attention_node_conv mode")
-    positions = np.asarray(positions, dtype=float)
+    positions = _check_inputs(positions, h, cfg)
     n = h.n_nodes
-    if positions.shape != (n, 3):
-        raise ValueError("positions must be (N, 3) and match h")
-    _check_h(h, cfg)
     centers, sources = _edges_of(graph, cfg, n)
-    aw = _alpha_channels(alpha, centers, sources, cfg.channels, n)
+    aw = _alpha_heads(alpha, centers, sources, cfg.channels, n)
+    if aw.shape[1] > 1:
+        aw = np.repeat(aw, cfg.channels // aw.shape[1], axis=1)
     paths = _edge_paths(h.layout.degrees, cfg)
+    tables = {(a, v): np.concatenate([dense_w(a, v, l) for l in louts], axis=1)
+              for a, v, louts in paths}
     out = _out_zeros(n, cfg)
     counters = OpCounters()
     e = centers.shape[0]
@@ -349,7 +361,7 @@ def edge_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> 
                 shv = shv / dist[:, None] ** v
             z = ga[:, :, :, None] * shv[:, None, None, :]
             ec, c = z.shape[0], z.shape[1]
-            res = z.reshape(ec * c, -1) @ _w_stack(a, v, louts)
+            res = z.reshape(ec * c, -1) @ tables[a, v]
             seg = np.add.reduceat(res.reshape(ec, c, -1), seg_starts, axis=0)
             col = 0
             for l in louts:
@@ -389,33 +401,93 @@ def binomial_expand_sh(l: int, r_i, r_j, kappa: KappaTable) -> np.ndarray:
 # node route
 
 
+def _harmonic_first(a: int, v: int, ds) -> np.ndarray:
+    """Coupling tables of (a, v) -> d for every d in ``ds``, harmonic index
+    first: row m2 of the ((2v+1), sum_d (2d+1) * (2a+1)) result maps
+    feature component m1 to output component m of degree d at column
+    (d, m, m1)."""
+    w = np.concatenate([real_cg_table(a, v, d) for d in ds], axis=2)
+    return np.ascontiguousarray(w.transpose(1, 2, 0)).reshape(2 * v + 1, -1)
+
+
+def _head_major(block: np.ndarray, heads: int) -> np.ndarray:
+    """(N, C, 2l+1) feature block as an (H, N, 2l+1, C/H) view."""
+    n, c, width = block.shape
+    return block.reshape(n, heads, c // heads, width).transpose(1, 0, 3, 2)
+
+
+def _own_harmonic_product(ha: np.ndarray, sh: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """[h_a x sh_v]^(d) for all d of ``table`` (see ``_harmonic_first``).
+
+    ``ha`` is a head-major feature block (H, N, 2a+1, C/H). One GEMM
+    contracts each node's harmonic into a per-node (D, 2a+1) operator, and
+    one batched matmul applies it to every channel of the node. Returns
+    (H, N, D, C/H), D = sum_d (2d+1).
+    """
+    _, n, wa, _ = ha.shape
+    return (sh @ table).reshape(n, table.shape[1] // wa, wa) @ ha
+
+
+@dataclass
+class _DegreePlan:
+    """Stages 2 and 3 for one intermediate degree d.
+
+    ``rows`` are the aggregated j-side blocks, as (a, v, first column of d in
+    the stage-1 (a, v) product), grouped by the exponent e of their stage-2
+    weights alpha_ij / |r_ij|^e; ``runs`` holds (e, first row, end row) per
+    group. ``g`` carries the 6j weights from rows to the (l_out, u) columns,
+    sorted so that each l_out owns a contiguous column range. ``outs`` holds
+    per l_out (l_out, first column, end column, first and end component of
+    the node harmonics sh_u over the columns' u, table); the table maps
+    those harmonics to the per-node operator with rows (u, m1) and columns
+    m3 (``_recoupling_table``).
+    """
+
+    d: int
+    rows: tuple
+    runs: tuple
+    g: np.ndarray
+    outs: tuple
+
+
 @dataclass
 class _NodePlan:
-    p_paths: list       # [(a, v, d_all tuple, d_used tuple)], deterministic order
-    groups: dict        # (d, u, l_out) -> [(a, l, g)], recoupling weights
-    used_by_l: dict     # harmonic degree l -> sorted tuple of (a, v, d) keys
+    products: tuple     # stage 1: (a, v, table of _harmonic_first over the used d)
+    degrees: tuple      # _DegreePlan per intermediate degree d, ascending
     n_p: int            # computed j-side (a, v, d) products per node
     n_applied: int      # nonzero recoupling applications per node
-    n_agg: int          # distinct aggregated blocks per edge (raw-solid)
-    u_degrees: tuple
+    n_rows: int         # aggregated blocks per edge (per node for moments)
+    sh_degree: int      # highest node-harmonic degree the stages read
 
 
 _PLAN_CACHE: dict = {}
 
 
+def _recoupling_table(d: int, us: tuple, l_out: int) -> np.ndarray:
+    """Rows (u, m2) for u in us[0]..us[-1]; columns (u in us, m1, m3)."""
+    lo = us[0] * us[0]
+    t = np.zeros(((us[-1] + 1) ** 2 - lo, len(us), 2 * d + 1, 2 * l_out + 1))
+    for iu, u in enumerate(us):
+        r0 = u * u - lo
+        t[r0:r0 + 2 * u + 1, iu] = real_cg_table(d, u, l_out).transpose(1, 0, 2)
+    return t.reshape(t.shape[0], -1)
+
+
 def _node_plan(h_degrees: tuple, cfg: ConvConfig, kappa: KappaTable) -> _NodePlan:
-    key = (tuple(h_degrees), cfg.l_max, cfg.degrees)
+    pair = tuple(kappa.kappa(u, l - u, l) for l in cfg.degrees for u in range(l + 1))
+    key = (tuple(h_degrees), cfg.l_max, cfg.degrees, cfg.mode, pair)
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
         return plan
-    groups: dict = {}
-    used: dict = {}
-    used_by_l: dict = {l: set() for l in cfg.degrees}
+    weights: dict = {}  # d -> {(a, v, e): {(l_out, u): g}}
     n_applied = 0
     for a in h_degrees:
         for l in cfg.degrees:
             for u in range(l + 1):
                 v = l - u
+                # stage-2 weights alpha_ij / |r_ij|^e: unit-Y divides the degree-l
+                # harmonic by |r_ij|^l, alg1-literal each binomial term by |r_ij|^v
+                e = l if cfg.mode == "unit-Y" else v if cfg.mode == "alg1-literal" else 0
                 base = (-1.0) ** (l - u) * math.comb(l, u) / kappa.kappa(u, v, l)
                 for d in range(abs(a - v), a + v + 1):
                     for l_out in range(abs(d - u), min(d + u, cfg.l_max) + 1):
@@ -426,28 +498,53 @@ def _node_plan(h_degrees: tuple, cfg: ConvConfig, kappa: KappaTable) -> _NodePla
                             continue
                         sign = -1.0 if (a + l + l_out) % 2 else 1.0
                         g = base * sign * math.sqrt((2 * d + 1) * (2 * l + 1)) * sixj
-                        groups.setdefault((d, u, l_out), []).append((a, l, g))
-                        used.setdefault((a, v), set()).add(d)
-                        used_by_l[l].add((a, v, d))
+                        weights.setdefault(d, {}).setdefault((a, v, e), {})[(l_out, u)] = g
                         n_applied += 1
-    v_degrees = sorted({l - u for l in cfg.degrees for u in range(l + 1)})
-    p_paths = []
-    n_p = 0
-    for a in h_degrees:
-        for v in v_degrees:
-            d_all = tuple(range(abs(a - v), a + v + 1))
-            d_used = tuple(sorted(used.get((a, v), ())))
-            if d_used:
-                p_paths.append((a, v, d_all, d_used))
-                n_p += len(d_all)
+    used: dict = {}
+    for d, rows in weights.items():
+        for a, v, _ in rows:
+            used.setdefault((a, v), set()).add(d)
+    products, offsets = [], {}
+    n_p = sh_degree = 0
+    for (a, v), ds in sorted(used.items()):
+        ds = tuple(sorted(ds))
+        col = 0
+        for d in ds:
+            offsets[(a, v, d)] = col
+            col += 2 * d + 1
+        products.append((a, v, _harmonic_first(a, v, ds)))
+        n_p += 2 * min(a, v) + 1
+        sh_degree = max(sh_degree, v)
+    degrees = []
+    for d in sorted(weights):
+        rows = sorted(weights[d], key=lambda k: (k[2], k[0], k[1]))
+        cols = sorted({c for k in rows for c in weights[d][k]})
+        col_of = {c: i for i, c in enumerate(cols)}
+        g = np.zeros((len(rows), len(cols)))
+        runs = []
+        for r, k in enumerate(rows):
+            for c, val in weights[d][k].items():
+                g[r, col_of[c]] = val
+            if runs and runs[-1][0] == k[2]:
+                runs[-1][2] = r + 1
+            else:
+                runs.append([k[2], r, r + 1])
+        outs = []
+        for l_out in sorted({lo for lo, _ in cols}):
+            us = tuple(u for lo, u in cols if lo == l_out)
+            c0 = col_of[(l_out, us[0])]
+            outs.append((l_out, c0, c0 + len(us), us[0] ** 2, (us[-1] + 1) ** 2,
+                         _recoupling_table(d, us, l_out)))
+            sh_degree = max(sh_degree, us[-1])
+        blocks = tuple((a, v, offsets[(a, v, d)]) for a, v, _ in rows)
+        degrees.append(_DegreePlan(d, blocks, tuple(map(tuple, runs)), g, tuple(outs)))
     plan = _NodePlan(
-        p_paths=p_paths,
-        groups=groups,
-        used_by_l={l: tuple(sorted(s)) for l, s in used_by_l.items()},
+        products=tuple(products),
+        degrees=tuple(degrees),
         n_p=n_p,
         n_applied=n_applied,
-        n_agg=sum(len(du) for _, _, _, du in p_paths),
-        u_degrees=tuple(sorted({u for (_, u, _) in groups})),
+        n_rows=sum(len(dp.rows) for dp in degrees),
+        sh_degree=sh_degree,
     )
     _PLAN_CACHE[key] = plan
     return plan
@@ -464,76 +561,71 @@ def _resolve_kappa(cfg: ConvConfig, kappa):
     return kappa
 
 
-def _p_blocks(h: IrrepTensor, sh_tab, plan: _NodePlan):
-    """Stage 1: per-node j-side products, all admissible intermediate d."""
-    p = {}
-    n = h.n_nodes
-    for a, v, d_all, d_used in plan.p_paths:
-        ha = h.degree_block(a)
-        shv = sh_tab.blocks[v]
-        c = ha.shape[1]
-        z = (ha[:, :, :, None] * shv[:, None, None, :]).reshape(n * c, -1)
-        res = (z @ _w_stack(a, v, d_all)).reshape(n, c, -1)
-        col = 0
-        for d in d_all:
-            width = 2 * d + 1
-            if d in d_used:
-                p[(a, v, d)] = res[:, :, col:col + width]
-            col += width
-    return p
+def _node_stages(h: IrrepTensor, sh_tab, plan: _NodePlan, aggregate, heads: int,
+                 cfg: ConvConfig):
+    """Stages 1-3 of the node route, one intermediate degree d at a time.
 
-
-def _aggregate(p_blocks: dict, keys, centers, sources, weights, n: int) -> dict:
-    """Stage 2: S_i = sum_j alpha_ij P_j via sparse matmul on packed blocks.
-
-    ``weights`` is (E, 1) for shared weights (one matmul) or (E, C) for
-    per-channel weights (one matmul per channel). Edge work is scalar
-    multiply-add only.
+    Blocks are head-major with channels innermost: (H, N, ..., C/H), where
+    head k holds the channels [k C/H, (k+1) C/H). Stage 1 couples every
+    feature block with the node's own harmonic (``_own_harmonic_product``).
+    For each d, stage 2 stacks the j-side blocks P of one weight exponent e
+    as (H, N, K, 2d+1, C/H), and ``aggregate(e, blocks)`` returns S in the
+    same layout. Stage 3 takes the 6j-weighted sums x = g^T S for every node
+    and head in one batched matmul per d, then applies each node's
+    recoupling operator with sh_u(r_i) by one batched matmul per l_out.
+    S and x of one d are released before the next d.
     """
-    keys = [k for k in keys if k in p_blocks]
-    if not keys:
-        return {}
-    widths = [p_blocks[k].shape[2] for k in keys]
-    c = p_blocks[keys[0]].shape[1]
-    if weights.shape[1] == 1:
-        flat = np.concatenate([p_blocks[k].reshape(n, -1) for k in keys], axis=1)
-        mat = sp.csr_matrix((weights[:, 0], (centers, sources)), shape=(n, n))
-        s_flat = mat @ flat
-        out = {}
-        col = 0
-        for k, w in zip(keys, widths):
-            out[k] = s_flat[:, col:col + w * c].reshape(n, c, w)
-            col += w * c
-        return out
-    out = {k: np.empty_like(p_blocks[k]) for k in keys}
-    for ch in range(c):
-        mat = sp.csr_matrix((weights[:, ch], (centers, sources)), shape=(n, n))
-        flat = np.concatenate([p_blocks[k][:, ch, :] for k in keys], axis=1)
-        s_flat = mat @ flat
-        col = 0
-        for k, w in zip(keys, widths):
-            out[k][:, ch, :] = s_flat[:, col:col + w]
-            col += w
+    n, c = h.n_nodes, cfg.channels
+    per_head = c // heads
+    p = {(a, v): _own_harmonic_product(_head_major(h.degree_block(a), heads),
+                                       sh_tab.blocks[v], table)
+         for a, v, table in plan.products}
+    sh = np.concatenate(sh_tab.blocks[:plan.sh_degree + 1], axis=1)
+    out = _out_zeros(n, cfg)
+    for dp in plan.degrees:
+        width = 2 * dp.d + 1
+        rows = dp.g.shape[0]
+        s = np.empty((heads, n, rows, width, per_head)) if len(dp.runs) > 1 else None
+        for e, r0, r1 in dp.runs:
+            part = aggregate(e, np.stack(
+                [p[a, v][:, :, o:o + width] for a, v, o in dp.rows[r0:r1]], axis=2))
+            if s is None:
+                s = part
+            else:
+                s[:, :, r0:r1] = part
+        x = np.matmul(dp.g.T, s.reshape(heads * n, rows, width * per_head))
+        for l_out, c0, c1, s0, s1, table in dp.outs:
+            k = (c1 - c0) * width
+            op = (sh[:, s0:s1] @ table).reshape(n, k, 2 * l_out + 1)
+            xl = x[:, c0:c1].reshape(heads, n, k, per_head).transpose(0, 1, 3, 2)
+            out[l_out] += (xl @ op).transpose(1, 0, 2, 3).reshape(n, c, 2 * l_out + 1)
     return out
 
 
-def _recouple(s_lookup, sh_tab, plan: _NodePlan, out):
-    """Stage 3: weighted recoupling sums, then one product with sh(r_i) per
-    (d, u, l_out) group."""
-    n = out[0].shape[0]
-    for (d, u, l_out), members in sorted(plan.groups.items()):
-        x = None
-        for a, l, g in members:
-            s = s_lookup(a, l - u, d, l)
-            if s is None:
-                continue
-            x = g * s if x is None else x + g * s
-        if x is None:
-            continue
-        shu = sh_tab.blocks[u]
-        c = x.shape[1]
-        z = (x[:, :, :, None] * shu[:, None, None, :]).reshape(n * c, -1)
-        out[l_out] += (z @ dense_w(d, u, l_out)).reshape(n, c, -1)
+def _sparse_aggregator(centers, sources, vals, dist, n: int):
+    """Stage 2 on a graph: S_i = sum_j alpha_ij / |r_ij|^e P_j, per head.
+
+    ``vals`` is the (E, H) per-head weight array in CSR order (centers
+    ascending, sources ascending within a center). The weighted adjacency
+    of every head is built directly in CSR form, once per exponent e, as
+    one block-diagonal matrix over the (head, node) rows of the head-major
+    blocks. Edge work is scalar multiply-add only.
+    """
+    heads, e_count = vals.shape[1], centers.shape[0]
+    indptr = np.searchsorted(centers, np.arange(n + 1))
+    k = np.arange(heads)[:, None]
+    rows = np.append((indptr[:-1] + k * e_count).reshape(-1), heads * e_count)
+    cols = (sources + k * n).reshape(-1)
+    mats: dict = {}
+
+    def aggregate(e, blocks):
+        if e not in mats:
+            w = vals if e == 0 else vals / dist[:, None] ** e
+            mats[e] = sp.csr_matrix((w.T.reshape(-1), cols, rows),
+                                    shape=(heads * n, heads * n))
+        return (mats[e] @ blocks.reshape(heads * n, -1)).reshape(blocks.shape)
+
+    return aggregate
 
 
 def node_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None,
@@ -548,46 +640,31 @@ def node_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None,
     """
     if cfg.mode == "alg1-literal":
         raise ValueError("alg1-literal is an attention_node_conv mode")
-    positions = np.asarray(positions, dtype=float)
-    n = h.n_nodes
-    if positions.shape != (n, 3):
-        raise ValueError("positions must be (N, 3) and match h")
-    _check_h(h, cfg)
+    positions = _check_inputs(positions, h, cfg)
     _check_node_degrees(h, cfg)
-    kappa = _resolve_kappa(cfg, kappa)
-    plan = _node_plan(h.layout.degrees, cfg, kappa)
-    vmax = max((v for _, v, _, _ in plan.p_paths), default=0)
-    umax = max(plan.u_degrees, default=0)
-    if (sh_table is None or sh_table.l_max < max(vmax, umax)
+    plan = _node_plan(h.layout.degrees, cfg, _resolve_kappa(cfg, kappa))
+    if (sh_table is None or sh_table.l_max < plan.sh_degree
             or sh_table.mode != "normalized"):
-        sh_table = solid_sh(max(vmax, umax), positions, mode="normalized")
+        sh_table = solid_sh(plan.sh_degree, positions, mode="normalized")
+    return _graph_node_route(graph, positions, h, cfg, alpha, plan, sh_table)
+
+
+def _graph_node_route(graph, positions, h, cfg, alpha, plan, sh_table) -> ConvResult:
+    """The node route on a graph's edges, after the caller's input checks."""
+    n = h.n_nodes
     centers, sources = _edges_of(graph, cfg, n)
-    aw = _alpha_channels(alpha, centers, sources, cfg.channels, n)
-    counters = OpCounters()
-    counters.tp_count = n * (plan.n_p + plan.n_applied)
-    out = _out_zeros(n, cfg)
+    vals = _alpha_heads(alpha, centers, sources, cfg.channels, n)
     e = centers.shape[0]
-    if plan.p_paths:
-        p = _p_blocks(h, sh_table, plan)
-        if cfg.mode == "raw-solid":
-            counters.add_count = e * plan.n_agg
-            s = _aggregate(p, sorted(p), centers, sources, aw, n)
-            _recouple(lambda a, v, d, l: s.get((a, v, d)), sh_table, plan, out)
-        else:
-            rij = positions[centers] - positions[sources]
-            dist = np.linalg.norm(rij, axis=1)
-            _degenerate(centers, sources, dist, cfg.eps, "in unit-Y mode")
-            s = {}
-            for l in cfg.degrees:
-                keys = plan.used_by_l[l]
-                if not keys:
-                    continue
-                wl = aw if l == 0 else aw / dist[:, None] ** l
-                sl = _aggregate(p, keys, centers, sources, wl, n)
-                counters.add_count += e * len(sl)
-                for (a, v, d), blk in sl.items():
-                    s[(a, v, d, l)] = blk
-            _recouple(lambda a, v, d, l: s.get((a, v, d, l)), sh_table, plan, out)
+    counters = OpCounters(n * (plan.n_p + plan.n_applied), e * plan.n_rows)
+    dist = None
+    exps = {run[0] for dp in plan.degrees for run in dp.runs}
+    if exps and (cfg.mode == "unit-Y" or max(exps) > 0):
+        dist = np.linalg.norm(positions[centers] - positions[sources], axis=1)
+        what = ("in unit-Y mode" if cfg.mode == "unit-Y"
+                else f"with exponent {min(x for x in exps if x)}")
+        _degenerate(centers, sources, dist, cfg.eps, what)
+    agg = _sparse_aggregator(centers, sources, vals, dist, n)
+    out = _node_stages(h, sh_table, plan, agg, vals.shape[1], cfg)
     return ConvResult(_pack_out(out), counters)
 
 
@@ -610,7 +687,6 @@ def attention_node_conv(positions, h: IrrepTensor, alpha, cfg: ConvConfig,
     """
     from .graph import dense as dense_graph
 
-    positions = np.asarray(positions, dtype=float)
     n = h.n_nodes
     vals = alpha.values if isinstance(alpha, AttentionWeights) else np.asarray(alpha, dtype=float)
     if vals.ndim not in (2, 3) or vals.shape[0] != n or vals.shape[1] != n:
@@ -619,42 +695,12 @@ def attention_node_conv(positions, h: IrrepTensor, alpha, cfg: ConvConfig,
     if cfg.mode != "alg1-literal":
         return node_conv(dense_graph(n), positions, h, cfg, alpha=aw, kappa=kappa)
 
-    base = ConvConfig(
-        l_max=cfg.l_max,
-        channels=cfg.channels,
-        mode="raw-solid",
-        include_self=cfg.include_self,
-        eps=cfg.eps,
-        harmonic_degrees=(cfg.l_max,),
-    )
-    _check_node_degrees(h, base)
-    kappa = _resolve_kappa(base, kappa)
-    plan = _node_plan(h.layout.degrees, base, kappa)
-    centers, sources = _edges_of(dense_graph(n), base, n)
-    awc = _alpha_channels(aw, centers, sources, cfg.channels, n)
-    rij = positions[centers] - positions[sources]
-    dist = np.linalg.norm(rij, axis=1)
-    counters = OpCounters()
-    counters.tp_count = n * (plan.n_p + plan.n_applied)
-    vmax = max((v for _, v, _, _ in plan.p_paths), default=0)
-    umax = max(plan.u_degrees, default=0)
-    sh_table = solid_sh(max(vmax, umax), positions, mode="normalized")
-    p = _p_blocks(h, sh_table, plan)
-    out = _out_zeros(n, base)
-    s = {}
-    e = centers.shape[0]
-    for k in sorted({v for (_, v, _) in p}):
-        keys = tuple(sorted(key for key in p if key[1] == k))
-        if k == 0:
-            wk = awc
-        else:
-            _degenerate(centers, sources, dist, cfg.eps, f"with exponent {k}")
-            wk = awc / dist[:, None] ** k
-        sk = _aggregate(p, keys, centers, sources, wk, n)
-        counters.add_count += e * len(sk)
-        s.update(sk)
-    _recouple(lambda a, v, d, l: s.get((a, v, d)), sh_table, plan, out)
-    return ConvResult(_pack_out(out), counters)
+    top = replace(cfg, harmonic_degrees=(cfg.l_max,))
+    positions = _check_inputs(positions, h, top)
+    _check_node_degrees(h, top)
+    plan = _node_plan(h.layout.degrees, top, _resolve_kappa(top, kappa))
+    sh_table = solid_sh(plan.sh_degree, positions, mode="normalized")
+    return _graph_node_route(dense_graph(n), positions, h, top, aw, plan, sh_table)
 
 
 def global_moments(positions, h: IrrepTensor, degrees) -> dict:
@@ -667,19 +713,15 @@ def global_moments(positions, h: IrrepTensor, degrees) -> dict:
     degrees = tuple(sorted({int(q) for q in degrees}))
     tab = solid_sh(max(degrees, default=0), positions, mode="normalized")
     out: dict = {}
-    n = h.n_nodes
     for q in degrees:
-        shq = tab.blocks[q]
         per_q: dict = {}
         for a in h.layout.degrees:
-            ha = h.degree_block(a)
-            c = ha.shape[1]
             d_all = tuple(range(abs(a - q), a + q + 1))
-            z = (ha[:, :, :, None] * shq[:, None, None, :]).reshape(n * c, -1)
-            res = (z @ _w_stack(a, q, d_all)).reshape(n, c, -1)
+            res = _own_harmonic_product(_head_major(h.degree_block(a), 1), tab.blocks[q],
+                                        _harmonic_first(a, q, d_all))[0].sum(axis=0)
             col = 0
             for d in d_all:
-                per_q[(a, d)] = res[:, :, col:col + 2 * d + 1].sum(axis=0)
+                per_q[(a, d)] = res[col:col + 2 * d + 1].T
                 col += 2 * d + 1
         out[q] = per_q
     return out
@@ -695,25 +737,16 @@ def moments_conv(positions, h: IrrepTensor, cfg: ConvConfig, kappa=None) -> Conv
     """
     if cfg.mode != "raw-solid":
         raise ValueError("moments_conv requires raw-solid mode")
-    positions = np.asarray(positions, dtype=float)
-    n = h.n_nodes
-    if positions.shape != (n, 3):
-        raise ValueError("positions must be (N, 3) and match h")
-    _check_h(h, cfg)
+    positions = _check_inputs(positions, h, cfg)
     _check_node_degrees(h, cfg)
-    kappa = _resolve_kappa(cfg, kappa)
-    plan = _node_plan(h.layout.degrees, cfg, kappa)
-    vmax = max((v for _, v, _, _ in plan.p_paths), default=0)
-    umax = max(plan.u_degrees, default=0)
-    tab = solid_sh(max(vmax, umax), positions, mode="normalized")
-    p = _p_blocks(h, tab, plan)
-    counters = OpCounters()
-    counters.tp_count = n * (plan.n_p + plan.n_applied)
-    counters.add_count = n * plan.n_agg  # per-node adds: moments are global
-    s = {}
-    for key, blk in p.items():
-        m = blk.sum(axis=0, keepdims=True)
-        s[key] = (m + np.zeros_like(blk)) if cfg.include_self else (m - blk)
-    out = _out_zeros(n, cfg)
-    _recouple(lambda a, v, d, l: s.get((a, v, d)), tab, plan, out)
-    return ConvResult(_pack_out(out), counters)
+    plan = _node_plan(h.layout.degrees, cfg, _resolve_kappa(cfg, kappa))
+    tab = solid_sh(plan.sh_degree, positions, mode="normalized")
+    n = h.n_nodes
+    # per-node adds: the moments are global
+    counters = OpCounters(n * (plan.n_p + plan.n_applied), n * plan.n_rows)
+
+    def aggregate(e, blocks):
+        m = blocks.sum(axis=1, keepdims=True)
+        return (m + np.zeros_like(blocks)) if cfg.include_self else (m - blocks)
+
+    return ConvResult(_pack_out(_node_stages(h, tab, plan, aggregate, 1, cfg)), counters)

@@ -12,8 +12,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from sixjconv.angular import CapacityError, real_cg
+from sixjconv.angular import CapacityError, real_cg, triangle_ok, wigner6j
 from sixjconv.conv import (
     AttentionWeights,
     ConvConfig,
@@ -608,3 +609,247 @@ def test_binomial_expansion_at_origin_source():
     for l in range(4):
         got = binomial_expand_sh(l, ri, np.zeros(3), kappa)
         assert got == pytest.approx(solid_sh(l, ri).block(l), rel=1e-12)
+
+
+# -- node-route kernels against the outer-product formulation ------------------
+#
+# The oracle below is the node route written the direct way: every product of
+# a feature block with a node harmonic materialises the C-fold outer product
+# and multiplies it by the dense coupling matrix, stage 2 builds one COO
+# sparse matrix per channel, and the 6j-weighted sums run member by member.
+# The library contracts each node's harmonic once for all channels and
+# recouples with GEMMs, so only the summation order differs.
+
+
+def _oracle_groups(h_degrees, cfg, kappa):
+    """(d, u, l_out) -> [(a, l, g)]: 6j recoupling weights of the node route."""
+    groups = {}
+    for a in h_degrees:
+        for l in cfg.degrees:
+            for u in range(l + 1):
+                v = l - u
+                base = (-1.0) ** v * math.comb(l, u) / kappa.kappa(u, v, l)
+                for d in range(abs(a - v), a + v + 1):
+                    for lo in range(abs(d - u), min(d + u, cfg.l_max) + 1):
+                        if not triangle_ok(a, l, lo):
+                            continue
+                        sixj = wigner6j((a, v, d, u, lo, l))
+                        if sixj == 0.0:
+                            continue
+                        sign = -1.0 if (a + l + lo) % 2 else 1.0
+                        g = base * sign * math.sqrt((2 * d + 1) * (2 * l + 1)) * sixj
+                        groups.setdefault((d, u, lo), []).append((a, l, g))
+    return groups
+
+
+def _outer_product(x, sh, l1, l2, l3):
+    """[x x sh]^(l3) for x (N, C, 2l1+1), sh (N, 2l2+1), via (N C, ...) rows."""
+    n, c, _ = x.shape
+    z = (x[:, :, :, None] * sh[:, None, None, :]).reshape(n * c, -1)
+    return (z @ dense_w(l1, l2, l3)).reshape(n, c, -1)
+
+
+def _oracle_node(h, pos, cfg, aggregate):
+    """Stages 1-3 with outer products; ``aggregate(e, block)`` is stage 2."""
+    n = h.n_nodes
+    kappa = calibrate_pair_constants(max(cfg.l_max, max(cfg.degrees)))
+    tab = solid_sh(max(cfg.degrees), pos, mode="normalized")
+    out = [np.zeros((n, cfg.channels, 2 * l + 1)) for l in range(cfg.l_max + 1)]
+    s = {}
+    for (d, u, lo), members in sorted(_oracle_groups(h.layout.degrees, cfg, kappa).items()):
+        x = 0.0
+        for a, l, g in members:
+            v = l - u
+            e = l if cfg.mode == "unit-Y" else 0
+            if (a, v, d, e) not in s:
+                p = _outer_product(h.degree_block(a), tab.blocks[v], a, v, d)
+                s[a, v, d, e] = aggregate(e, p)
+            x = x + g * s[a, v, d, e]
+        out[lo] += _outer_product(x, tab.blocks[u], d, u, lo)
+    return np.concatenate([b.reshape(n, -1) for b in out], axis=1)
+
+
+def _oracle_edges(g, cfg, n):
+    centers, sources = g.edge_arrays()
+    if cfg.include_self:
+        centers = np.concatenate([centers, np.arange(n)])
+        sources = np.concatenate([sources, np.arange(n)])
+    return centers, sources
+
+
+def _oracle_graph_node_conv(g, pos, h, cfg, per_channel=None):
+    """``per_channel`` maps (centers, sources) to (E, C) weights."""
+    n, c = h.n_nodes, cfg.channels
+    centers, sources = _oracle_edges(g, cfg, n)
+    w = np.ones((centers.shape[0], c)) if per_channel is None else per_channel(centers, sources)
+    dist = np.linalg.norm(pos[centers] - pos[sources], axis=1)
+
+    def aggregate(e, p):
+        s = np.empty_like(p)
+        for ch in range(c):
+            we = w[:, ch] if e == 0 else w[:, ch] / dist ** e
+            mat = sp.csr_matrix((we, (centers, sources)), shape=(n, n))
+            s[:, ch] = mat @ p[:, ch]
+        return s
+
+    return _oracle_node(h, pos, cfg, aggregate)
+
+
+def _oracle_moments_conv(pos, h, cfg):
+    def aggregate(e, p):
+        m = p.sum(axis=0, keepdims=True)
+        return m + 0.0 * p if cfg.include_self else m - p
+
+    return _oracle_node(h, pos, cfg, aggregate)
+
+
+# summation order only: well inside the 1e-10 route-agreement contract
+KERNEL_RTOL = 1e-11
+
+
+def _kernel_cases(l_max):
+    """(label, graph, positions, features, cfg, AttentionWeights or None)."""
+    cloud = random_cloud(14, seed=40)
+    pos = cloud.positions - cloud.positions.mean(axis=0)
+    g = knn(cloud, 4)
+    full = [(l, 2) for l in range(l_max + 1)]
+    heads = AttentionWeights.from_edges(_rng(41).uniform(0.5, 1.5, (g.n_edges, 4)))
+    shared = AttentionWeights.from_edges(_rng(42).uniform(0.5, 1.5, g.n_edges))
+    lone = radius(cloud, 0.9, max_neighbors=3)
+    assert min(len(nb) for nb in lone.neighbors) == 0
+    single = random_cloud(1, seed=43)
+    subset = (0, l_max) if l_max else (0,)
+    for mode in ("raw-solid", "unit-Y"):
+        cfg = dict(l_max=l_max, mode=mode)
+        yield "full", g, pos, random_tensor(full, 14, seed=44), ConvConfig(channels=2, **cfg), None
+        yield ("gapped", g, pos, random_tensor([(0, 2), (2, 2), (5, 2)], 14, seed=45),
+               ConvConfig(channels=2, **cfg), shared)
+        yield ("subset", g, pos, random_tensor(full, 14, seed=46),
+               ConvConfig(channels=2, harmonic_degrees=subset, **cfg), shared)
+        yield ("one channel", g, pos, random_tensor([(l, 1) for l in range(l_max + 1)], 14, seed=47),
+               ConvConfig(channels=1, **cfg), shared)
+        yield ("four heads", g, pos, random_tensor([(l, 8) for l in range(l_max + 1)], 14, seed=48),
+               ConvConfig(channels=8, **cfg), heads)
+        yield "isolated", lone, pos, random_tensor(full, 14, seed=49), ConvConfig(channels=2, **cfg), None
+    raw = dict(l_max=l_max, channels=2, include_self=True)
+    yield "self", g, pos, random_tensor(full, 14, seed=50), ConvConfig(**raw), None
+    yield ("one node", dense(1), single.positions, random_tensor(full, 1, seed=51),
+           ConvConfig(**raw), None)
+
+
+@pytest.mark.parametrize("l_max", range(7))
+def test_node_stages_match_outer_product_oracle(l_max):
+    for label, g, pos, h, cfg, alpha in _kernel_cases(l_max):
+        res = node_conv(g, pos, h, cfg, alpha=alpha)
+
+        def per_channel(centers, sources, alpha=alpha, cfg=cfg):
+            vals = alpha.values
+            vals = vals[:, None] if vals.ndim == 1 else vals
+            return np.repeat(vals, cfg.channels // vals.shape[1], axis=1)
+
+        want = _oracle_graph_node_conv(g, pos, h, cfg, None if alpha is None else per_channel)
+        assert _rel(res.output.values, want) < KERNEL_RTOL, (label, cfg.mode)
+        if cfg.mode == "raw-solid":
+            got = moments_conv(pos, h, cfg).output.values
+            assert _rel(got, _oracle_moments_conv(pos, h, cfg)) < KERNEL_RTOL, label
+
+
+@pytest.mark.parametrize("l_max", range(7))
+def test_stage1_products_match_outer_products(l_max):
+    from sixjconv.conv import _harmonic_first, _head_major, _own_harmonic_product
+
+    cloud = random_cloud(9, seed=52)
+    tab = solid_sh(l_max, cloud.positions, mode="normalized")
+    h = random_tensor([(l, 4) for l in (0, 2, 5)], 9, seed=53)
+    for a in h.layout.degrees:
+        for v in range(l_max + 1):
+            ds = tuple(range(abs(a - v), a + v + 1))
+            for heads in (1, 2):
+                got = _own_harmonic_product(_head_major(h.degree_block(a), heads),
+                                            tab.blocks[v], _harmonic_first(a, v, ds))
+                col = 0
+                for d in ds:
+                    blk = got[:, :, col:col + 2 * d + 1].transpose(1, 0, 3, 2).reshape(9, 4, -1)
+                    want = _outer_product(h.degree_block(a), tab.blocks[v], a, v, d)
+                    assert np.abs(blk - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+                    col += 2 * d + 1
+
+
+def test_stage2_csr_is_the_per_channel_coo_product():
+    from sixjconv.conv import _edges_of, _sparse_aggregator
+
+    n, heads, per_head = 30, 2, 3
+    cloud = random_cloud(n, seed=54)
+    g = knn(cloud, 5)
+    cfg = ConvConfig(l_max=2, channels=heads * per_head, include_self=True)
+    centers, sources = _edges_of(g, cfg, n)
+    order = np.lexsort((sources, centers))
+    assert np.array_equal(order, np.arange(centers.shape[0]))  # CSR order
+    vals = _rng(55).uniform(0.5, 1.5, (centers.shape[0], heads))
+    dist = 1.0 + _rng(56).random(centers.shape[0])
+    agg = _sparse_aggregator(centers, sources, vals, dist, n)
+    blocks = _rng(57).standard_normal((heads, n, 4, 5, per_head))
+    for e in (0, 3):
+        got = agg(e, blocks)
+        for k in range(heads):
+            w = vals[:, k] if e == 0 else vals[:, k] / dist ** e
+            # the former aggregation: COO -> CSR per channel
+            mat = sp.csr_matrix((w, (centers, sources)), shape=(n, n))
+            for c in range(per_head):
+                want = mat @ blocks[k, :, :, :, c].reshape(n, -1)
+                assert np.array_equal(got[k, :, :, :, c].reshape(n, -1), want)
+
+
+def test_alg1_literal_checks_its_inputs(system8):
+    cloud, h, alpha = system8
+    cfg = ConvConfig(l_max=2, channels=3, mode="alg1-literal")
+    with pytest.raises(ValueError, match="feature channels 2 do not match cfg.channels 3"):
+        attention_node_conv(cloud.positions, h, alpha, cfg)
+    ok = ConvConfig(l_max=2, channels=2, mode="alg1-literal")
+    with pytest.raises(ValueError, match=r"\(N, 3\)"):
+        attention_node_conv(cloud.positions[:, :2], h, alpha, ok)
+
+
+def test_caller_kappa_table_does_not_depend_on_call_order(system16):
+    from sixjconv import conv
+    from sixjconv.irreps import KappaTable
+
+    cloud, g, h = system16
+    cfg = ConvConfig(l_max=2, channels=3)
+    base = calibrate_pair_constants(2)
+    doubled = KappaTable(2, {k: 2.0 * v for k, v in base.items()})
+
+    def run(kappa):
+        return node_conv(g, cloud.positions, h, cfg, kappa=kappa).output.values
+
+    conv._PLAN_CACHE.clear()
+    first = run(doubled)
+    default = run(None)
+    again = run(doubled)
+    conv._PLAN_CACHE.clear()
+    fresh_default = run(None)
+    assert np.array_equal(first, again)
+    assert np.array_equal(default, fresh_default)
+    assert _rel(first, default) > 1e-2
+    assert np.array_equal(run(base), default)
+
+
+def test_unit_y_node_conv_memory_peak():
+    """Stages 2 and 3 run one intermediate degree at a time: the unit-Y call
+    at N=500, k=8, L=6 (4 heads) peaked at 262 MiB with every S block kept."""
+    import tracemalloc
+
+    n = 500
+    cloud = random_cloud(n, seed=6)
+    g = knn(cloud, 8)
+    h = _feat(n, 6, 8, seed=7)
+    w = AttentionWeights.from_edges(_rng(8).uniform(0.5, 1.5, (g.n_edges, 4)))
+    cfg = ConvConfig(l_max=6, channels=8, mode="unit-Y")
+    node_conv(g, cloud.positions, h, cfg, alpha=w)  # coefficient tables and plan
+    tracemalloc.start()
+    try:
+        node_conv(g, cloud.positions, h, cfg, alpha=w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
