@@ -178,12 +178,11 @@ def _suite_recoupling(rng) -> str:
 
 
 def _suite_binomial(rng) -> str:
-    kt = irreps.calibrate_pair_constants(4)
     for l in range(5):
         for _ in range(3):
             ri = rng.standard_normal(3)
             rj = rng.standard_normal(3)
-            got = conv.binomial_expand_sh(l, ri, rj, kt)
+            got = conv.binomial_expand_sh(l, ri, rj)
             want = harmonics.solid_sh(l, ri - rj, mode="raw").block(l)
             err = _rel_err(got, want)
             if err > 1e-10:
@@ -199,7 +198,7 @@ def _suite_equivalence(rng, n=10, k=3, lmax=2) -> str:
     cloud = graph.random_cloud(n, seed=2024)
     g = graph.knn(cloud, k)
     h = irreps.random_tensor([(l, ch) for l in range(lmax + 1)], n, seed=7)
-    alpha = rng.standard_normal(g.n_edges)
+    alpha = conv.AttentionWeights.from_edges(rng.standard_normal(g.n_edges))
     for mode in ("raw-solid", "unit-Y"):
         cfg = conv.ConvConfig(l_max=lmax, channels=ch, mode=mode)
         for aw, label in ((None, "uniform"), (alpha, "weighted")):
@@ -441,8 +440,6 @@ def _cmd_bench(args) -> int:
                 h = irreps.random_tensor(
                     [(l, args.channels) for l in range(lmax + 1)], n, seed=args.seed + 1
                 )
-                kappa = irreps.calibrate_pair_constants(lmax)
-                sh_tab = harmonics.solid_sh(lmax, cloud.positions, mode="normalized")
                 for k in ks:
                     try:
                         g = graph.dense(n) if k == "dense" else graph.knn(cloud, k)
@@ -451,9 +448,7 @@ def _cmd_bench(args) -> int:
                             return conv.edge_conv(g, cloud.positions, h, cfg)
 
                         def run_node(g=g):
-                            return conv.node_conv(
-                                g, cloud.positions, h, cfg, kappa=kappa, sh_table=sh_tab
-                            )
+                            return conv.node_conv(g, cloud.positions, h, cfg)
 
                         runners = {"edge": run_edge, "node": run_node}
                         if args.mode == "both":

@@ -16,6 +16,11 @@ the coupling order per center with Wigner 6j coefficients:
 
     S_i^(a, v, d) = sum_{j in N(i)} alpha_ij [h_j x sh_v(r_j)]^(d).
 
+The pair constants kappa(u, l-u -> l) come in closed form from exact 3j
+symbols (``irreps.calibrate_pair_constants``), and every node call computes
+the harmonics sh(r_i) of its own node positions; a caller supplies neither.
+Attention weights arrive as ``AttentionWeights``, never as a bare array.
+
 Both routes produce identical outputs (the equivalence suite pins this at
 1e-10); their cost profiles differ: tensor products per edge versus per node.
 
@@ -58,12 +63,7 @@ import scipy.sparse as sp
 
 from .angular import CapacityError, default_cache, real_cg_table, triangle_ok
 from .harmonics import presentation_scale, solid_sh
-from .irreps import (
-    IrrepTensor,
-    KappaTable,
-    calibrate_pair_constants,
-    dense_w,
-)
+from .irreps import IrrepTensor, calibrate_pair_constants, dense_w
 
 __all__ = [
     "ConvConfig",
@@ -71,7 +71,6 @@ __all__ = [
     "OpCounters",
     "ConvResult",
     "DegenerateEdgeError",
-    "StaleCalibrationError",
     "edge_conv",
     "binomial_expand_sh",
     "node_conv",
@@ -86,10 +85,6 @@ MODES = ("raw-solid", "unit-Y", "alg1-literal")
 
 class DegenerateEdgeError(ValueError):
     """A zero-length edge was hit in a mode that divides by distance."""
-
-
-class StaleCalibrationError(RuntimeError):
-    """The supplied calibration table does not cover the configured degrees."""
 
 
 @dataclass(frozen=True)
@@ -220,18 +215,19 @@ def _edges_of(graph, cfg: ConvConfig, n: int):
     return centers, sources
 
 
-def _alpha_heads(alpha, centers, sources, channels: int, n: int) -> np.ndarray:
-    """Normalize any accepted alpha form to per-edge per-head weights (E, H).
+def _alpha_heads(alpha, centers, sources, channels: int) -> np.ndarray:
+    """Per-edge per-head weights (E, H) of None (uniform) or AttentionWeights.
 
-    Head k weights the channels [k C/H, (k+1) C/H). Raw arrays shaped
-    (N, N) or (N, N, H) are taken as dense; anything else per-edge.
+    Head k weights the channels [k C/H, (k+1) C/H). A raw array is rejected:
+    its shape cannot tell dense from per-edge weights when E == N == H.
     """
     if alpha is None:
         return np.ones((centers.shape[0], 1))
     if not isinstance(alpha, AttentionWeights):
-        arr = np.asarray(alpha, dtype=float)
-        dense = arr.ndim >= 2 and arr.shape[:2] == (n, n)
-        alpha = AttentionWeights(arr, dense=dense)
+        raise TypeError(
+            f"alpha must be None or AttentionWeights, got {type(alpha).__name__}; "
+            "wrap arrays with AttentionWeights.from_dense or AttentionWeights.from_edges"
+        )
     vals = alpha.edge_values(centers, sources)
     if channels % vals.shape[1]:
         raise ValueError(f"{vals.shape[1]} heads do not divide {channels} channels")
@@ -320,7 +316,7 @@ def edge_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> 
     positions = _check_inputs(positions, h, cfg)
     n = h.n_nodes
     centers, sources = _edges_of(graph, cfg, n)
-    aw = _alpha_heads(alpha, centers, sources, cfg.channels, n)
+    aw = _alpha_heads(alpha, centers, sources, cfg.channels)
     if aw.shape[1] > 1:
         aw = np.repeat(aw, cfg.channels // aw.shape[1], axis=1)
     paths = _edge_paths(h.layout.degrees, cfg)
@@ -374,14 +370,15 @@ def edge_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> 
 # binomial local expansion
 
 
-def binomial_expand_sh(l: int, r_i, r_j, kappa: KappaTable) -> np.ndarray:
+def binomial_expand_sh(l: int, r_i, r_j) -> np.ndarray:
     """Recover solid_sh(l, r_i - r_j) from node-local harmonics.
 
     Evaluates sum_u (-1)^(l-u) binom(l, u) / kappa(u, l-u -> l) *
-    [sh_u(r_i) x sh_{l-u}(r_j)]^(l) in the normalized basis and returns the
-    block in raw presentation so it compares against the polynomial goldens
-    directly.
+    [sh_u(r_i) x sh_{l-u}(r_j)]^(l) in the normalized basis, with the exact
+    constants of ``calibrate_pair_constants``, and returns the block in raw
+    presentation so it compares against the polynomial goldens directly.
     """
+    kappa = calibrate_pair_constants(l)
     ri = np.asarray(r_i, dtype=float).reshape(3)
     rj = np.asarray(r_j, dtype=float).reshape(3)
     tab_i = solid_sh(l, ri, mode="normalized")
@@ -473,12 +470,12 @@ def _recoupling_table(d: int, us: tuple, l_out: int) -> np.ndarray:
     return t.reshape(t.shape[0], -1)
 
 
-def _node_plan(h_degrees: tuple, cfg: ConvConfig, kappa: KappaTable) -> _NodePlan:
-    pair = tuple(kappa.kappa(u, l - u, l) for l in cfg.degrees for u in range(l + 1))
-    key = (tuple(h_degrees), cfg.l_max, cfg.degrees, cfg.mode, pair)
+def _node_plan(h_degrees: tuple, cfg: ConvConfig) -> _NodePlan:
+    key = (tuple(h_degrees), cfg.l_max, cfg.degrees, cfg.mode)
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
         return plan
+    kappa = calibrate_pair_constants(max(cfg.degrees, default=0))
     weights: dict = {}  # d -> {(a, v, e): {(l_out, u): g}}
     n_applied = 0
     for a in h_degrees:
@@ -550,17 +547,6 @@ def _node_plan(h_degrees: tuple, cfg: ConvConfig, kappa: KappaTable) -> _NodePla
     return plan
 
 
-def _resolve_kappa(cfg: ConvConfig, kappa):
-    need = max(cfg.degrees, default=0)
-    if kappa is None:
-        return calibrate_pair_constants(max(need, cfg.l_max))
-    if kappa.l_max < need:
-        raise StaleCalibrationError(
-            f"calibration covers l <= {kappa.l_max} but the config needs {need}"
-        )
-    return kappa
-
-
 def _node_stages(h: IrrepTensor, sh_tab, plan: _NodePlan, aggregate, heads: int,
                  cfg: ConvConfig):
     """Stages 1-3 of the node route, one intermediate degree d at a time.
@@ -628,32 +614,29 @@ def _sparse_aggregator(centers, sources, vals, dist, n: int):
     return aggregate
 
 
-def node_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None,
-              kappa=None, sh_table=None) -> ConvResult:
+def node_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> ConvResult:
     """Factorized convolution: tensor products per node, scalar sums per edge.
 
-    ``sh_table`` may carry precomputed normalized harmonics of the node
-    positions (they are a shared input, legitimately outside any timed
-    region); ``kappa`` a calibration table from ``calibrate_pair_constants``
-    covering the configured degrees. Output matches edge_conv on identical
-    inputs to 1e-10.
+    ``alpha`` is None (uniform) or ``AttentionWeights``. The node harmonics
+    are computed inside the call, as edge_conv computes its edge harmonics,
+    and the pair constants kappa are exact (``calibrate_pair_constants``).
+    Output matches edge_conv on identical inputs to 1e-10.
     """
     if cfg.mode == "alg1-literal":
         raise ValueError("alg1-literal is an attention_node_conv mode")
+    return _node_route(graph, positions, h, cfg, alpha)
+
+
+def _node_route(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha) -> ConvResult:
+    """The node route on a graph's edges: input checks, plan, node harmonics
+    and the three stages."""
     positions = _check_inputs(positions, h, cfg)
     _check_node_degrees(h, cfg)
-    plan = _node_plan(h.layout.degrees, cfg, _resolve_kappa(cfg, kappa))
-    if (sh_table is None or sh_table.l_max < plan.sh_degree
-            or sh_table.mode != "normalized"):
-        sh_table = solid_sh(plan.sh_degree, positions, mode="normalized")
-    return _graph_node_route(graph, positions, h, cfg, alpha, plan, sh_table)
-
-
-def _graph_node_route(graph, positions, h, cfg, alpha, plan, sh_table) -> ConvResult:
-    """The node route on a graph's edges, after the caller's input checks."""
+    plan = _node_plan(h.layout.degrees, cfg)
+    sh_table = solid_sh(plan.sh_degree, positions, mode="normalized")
     n = h.n_nodes
     centers, sources = _edges_of(graph, cfg, n)
-    vals = _alpha_heads(alpha, centers, sources, cfg.channels, n)
+    vals = _alpha_heads(alpha, centers, sources, cfg.channels)
     e = centers.shape[0]
     counters = OpCounters(n * (plan.n_p + plan.n_applied), e * plan.n_rows)
     dist = None
@@ -672,8 +655,7 @@ def _graph_node_route(graph, positions, h, cfg, alpha, plan, sh_table) -> ConvRe
 # dense attention variant and global moments
 
 
-def attention_node_conv(positions, h: IrrepTensor, alpha, cfg: ConvConfig,
-                        kappa=None) -> ConvResult:
+def attention_node_conv(positions, h: IrrepTensor, alpha, cfg: ConvConfig) -> ConvResult:
     """Dense-attention node convolution (three normalization modes).
 
     ``alpha`` is dense (N, N) or (N, N, H). Modes "raw-solid" and "unit-Y"
@@ -693,14 +675,9 @@ def attention_node_conv(positions, h: IrrepTensor, alpha, cfg: ConvConfig,
         raise ValueError("attention_node_conv needs dense (N, N) or (N, N, H) weights")
     aw = AttentionWeights.from_dense(vals)
     if cfg.mode != "alg1-literal":
-        return node_conv(dense_graph(n), positions, h, cfg, alpha=aw, kappa=kappa)
-
+        return node_conv(dense_graph(n), positions, h, cfg, alpha=aw)
     top = replace(cfg, harmonic_degrees=(cfg.l_max,))
-    positions = _check_inputs(positions, h, top)
-    _check_node_degrees(h, top)
-    plan = _node_plan(h.layout.degrees, top, _resolve_kappa(top, kappa))
-    sh_table = solid_sh(plan.sh_degree, positions, mode="normalized")
-    return _graph_node_route(dense_graph(n), positions, h, top, aw, plan, sh_table)
+    return _node_route(dense_graph(n), positions, h, top, aw)
 
 
 def global_moments(positions, h: IrrepTensor, degrees) -> dict:
@@ -727,7 +704,7 @@ def global_moments(positions, h: IrrepTensor, degrees) -> dict:
     return out
 
 
-def moments_conv(positions, h: IrrepTensor, cfg: ConvConfig, kappa=None) -> ConvResult:
+def moments_conv(positions, h: IrrepTensor, cfg: ConvConfig) -> ConvResult:
     """Dense-interaction convolution through global moments.
 
     Equals node_conv on the fully dense graph with uniform weights; the
@@ -739,7 +716,7 @@ def moments_conv(positions, h: IrrepTensor, cfg: ConvConfig, kappa=None) -> Conv
         raise ValueError("moments_conv requires raw-solid mode")
     positions = _check_inputs(positions, h, cfg)
     _check_node_degrees(h, cfg)
-    plan = _node_plan(h.layout.degrees, cfg, _resolve_kappa(cfg, kappa))
+    plan = _node_plan(h.layout.degrees, cfg)
     tab = solid_sh(plan.sh_degree, positions, mode="normalized")
     n = h.n_nodes
     # per-node adds: the moments are global

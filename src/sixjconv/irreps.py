@@ -31,12 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import (
-    ConventionError,
-    default_cache,
-    real_cg_table,
-    triangle_ok,
-)
+from .angular import default_cache, real_cg_table, triangle_ok
 from .harmonics import Rotation, presentation_scale, solid_sh, wigner_d
 
 __all__ = [
@@ -282,41 +277,24 @@ class KappaTable:
         return self._values.items()
 
 
-_KAPPA_SAMPLES = 32
-_KAPPA_RTOL = 1e-10
-
-
 @lru_cache(maxsize=None)
 def calibrate_pair_constants(l_max: int) -> KappaTable:
-    """Measure kappa(u, l-u -> l) for all 0 <= u <= l <= l_max.
+    """Exact kappa(u, l-u -> l) for all 0 <= u <= l <= l_max.
 
-    Componentwise ratios on random vectors, consistency-checked across
-    32 samples to 1e-10 relative; inconsistency means a coupling-table bug
-    and raises ConventionError.
+    For the maximal coupling l = u + v of the orthonormal basis,
+
+        kappa(u, v -> l) = (-1)^l sqrt((2u+1)(2v+1) / (4 pi)) (u v l; 0 0 0),
+
+    read from the exact 3j values of ``default_cache``.
     """
     default_cache._check(l_max)
-    rng = np.random.default_rng(np.random.Philox(key=20240901))
-    pts = rng.standard_normal((_KAPPA_SAMPLES, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts *= 0.8 + 0.4 * rng.random((_KAPPA_SAMPLES, 1))
-    tab = solid_sh(l_max, pts, mode="normalized")
     values = {}
     for l in range(l_max + 1):
-        ref = tab.blocks[l]
+        sign = -1.0 if l % 2 else 1.0
         for u in range(l + 1):
-            w = real_cg_table(u, l - u, l)
-            lhs = np.einsum("nu,nv,uvw->nw", tab.blocks[u], tab.blocks[l - u], w, optimize=True)
-            mask = np.abs(ref) > 1e-6 * np.abs(ref).max()
-            ratios = lhs[mask] / ref[mask]
-            kappa = float(np.median(ratios))
-            spread = float(np.abs(ratios - kappa).max())
-            if spread > _KAPPA_RTOL * max(1.0, abs(kappa)):
-                raise ConventionError(
-                    f"kappa({u},{l - u}->{l}) ratio inconsistency {spread:.3e}"
-                )
-            if kappa == 0.0:
-                raise ConventionError(f"kappa({u},{l - u}->{l}) vanished")
-            values[(u, l)] = kappa
+            v = l - u
+            three_j = default_cache.wigner3j((u, v, l, 0, 0, 0))
+            values[(u, l)] = sign * math.sqrt((2 * u + 1) * (2 * v + 1) / (4 * math.pi)) * three_j
     return KappaTable(l_max, values)
 
 

@@ -91,15 +91,13 @@ def test_02_equivariance_and_translation():
 def test_03_binomial_local_expansion():
     """Expansion equals solid_sh(l, r_i - r_j) to 1e-10 for l <= 6."""
     from sixjconv.conv import binomial_expand_sh
-    from sixjconv.irreps import calibrate_pair_constants
     t0 = time.perf_counter()
-    kappa = calibrate_pair_constants(6)
     rng = _rng(3)
     worst = 0.0
     for _ in range(100):
         ri, rj = rng.standard_normal(3), rng.standard_normal(3)
         for l in range(7):
-            got = binomial_expand_sh(l, ri, rj, kappa)
+            got = binomial_expand_sh(l, ri, rj)
             want = solid_sh(l, ri - rj).block(l)
             worst = max(worst, _rel(got, want, floor=1e-30))
     assert worst < 1e-10

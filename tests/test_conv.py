@@ -19,7 +19,6 @@ from sixjconv.conv import (
     AttentionWeights,
     ConvConfig,
     DegenerateEdgeError,
-    StaleCalibrationError,
     adjacency_indicator,
     attention_node_conv,
     binomial_expand_sh,
@@ -276,6 +275,30 @@ def test_routes_agree_with_per_edge_weights(system16):
     assert _rel(n, e) < 1e-11
 
 
+def test_raw_alpha_array_rejected_and_explicit_edge_weights_agree():
+    """On two nodes with one neighbour each, per-edge weights for two heads
+    form a (2, 2) array, the shape of dense (N, N) weights too; only
+    AttentionWeights says which one is meant."""
+    cloud = random_cloud(2, seed=12)
+    g = knn(cloud, 1)
+    h = _feat(2, 2, 2, seed=12)
+    cfg = ConvConfig(l_max=2, channels=2)
+    raw = _rng(77).uniform(0.5, 1.5, (g.n_edges, 2))
+    for route in (edge_conv, node_conv):
+        with pytest.raises(TypeError, match="AttentionWeights"):
+            route(g, cloud.positions, h, cfg, alpha=raw)
+    w = AttentionWeights.from_edges(raw)
+    e = edge_conv(g, cloud.positions, h, cfg, alpha=w).output.values
+    n = node_conv(g, cloud.positions, h, cfg, alpha=w).output.values
+    assert _rel(n, e) < 1e-11
+    centers, sources = g.edge_arrays()
+    per_channel = np.zeros((2, 2, 2))
+    per_channel[centers, sources] = raw
+    ref = _edge_conv_reference(g, cloud.positions, h, cfg, alpha=per_channel)
+    assert _rel(e, ref) < 1e-12
+    assert _rel(n, ref) < 1e-11
+
+
 def test_routes_agree_with_per_head_weights(system16):
     cloud, g, h = system16
     cfg = ConvConfig(l_max=2, channels=3)  # 3 heads, one channel each
@@ -310,15 +333,6 @@ def test_include_self_routes_agree(system16):
     assert _rel(n.output.values, e.output.values) < 1e-11
     ref = _edge_conv_reference(g, cloud.positions, h, cfg)
     assert _rel(e.output.values, ref) < 1e-12
-
-
-def test_node_conv_accepts_precomputed_sh_table(system16):
-    cloud, g, h = system16
-    cfg = ConvConfig(l_max=2, channels=3)
-    tab = solid_sh(2, cloud.positions, mode="normalized")
-    a = node_conv(g, cloud.positions, h, cfg, sh_table=tab).output.values
-    b = node_conv(g, cloud.positions, h, cfg).output.values
-    assert np.array_equal(a, b)
 
 
 # -- degenerate inputs ---------------------------------------------------------
@@ -358,14 +372,6 @@ def test_degenerate_edge_raises_in_unit_y_mode():
     # raw-solid tolerates the coincident pair: the harmonic itself is finite
     raw = ConvConfig(l_max=1, channels=2)
     assert np.isfinite(edge_conv(g, cloud.positions, h, raw).output.values).all()
-
-
-def test_stale_calibration_rejected(system16):
-    cloud, g, h = system16
-    cfg = ConvConfig(l_max=2, channels=3)
-    old = calibrate_pair_constants(1)
-    with pytest.raises(StaleCalibrationError, match="covers l <= 1"):
-        node_conv(g, cloud.positions, h, cfg, kappa=old)
 
 
 def test_feature_layout_rejected_on_mismatch(system16):
@@ -592,22 +598,20 @@ def test_permutation_equivariance(system16):
 
 
 def test_binomial_expansion_recovers_edge_harmonic():
-    kappa = calibrate_pair_constants(4)
     rng = _rng(76)
     for l in range(5):
         for _ in range(10):
             ri, rj = rng.standard_normal(3), rng.standard_normal(3)
-            got = binomial_expand_sh(l, ri, rj, kappa)
+            got = binomial_expand_sh(l, ri, rj)
             want = solid_sh(l, ri - rj).block(l)
             assert got == pytest.approx(want, abs=1e-10 * max(1, np.abs(want).max()))
 
 
 def test_binomial_expansion_at_origin_source():
     # r_j = 0 kills every term with a j-side harmonic of positive degree
-    kappa = calibrate_pair_constants(3)
     ri = np.array([0.4, -1.2, 2.2])
     for l in range(4):
-        got = binomial_expand_sh(l, ri, np.zeros(3), kappa)
+        got = binomial_expand_sh(l, ri, np.zeros(3))
         assert got == pytest.approx(solid_sh(l, ri).block(l), rel=1e-12)
 
 
@@ -812,26 +816,17 @@ def test_alg1_literal_checks_its_inputs(system8):
 
 def test_caller_kappa_table_does_not_depend_on_call_order(system16):
     from sixjconv import conv
-    from sixjconv.irreps import KappaTable
 
     cloud, g, h = system16
     cfg = ConvConfig(l_max=2, channels=3)
-    base = calibrate_pair_constants(2)
-    doubled = KappaTable(2, {k: 2.0 * v for k, v in base.items()})
 
-    def run(kappa):
-        return node_conv(g, cloud.positions, h, cfg, kappa=kappa).output.values
+    def run():
+        return node_conv(g, cloud.positions, h, cfg).output.values
 
     conv._PLAN_CACHE.clear()
-    first = run(doubled)
-    default = run(None)
-    again = run(doubled)
+    first = run()
     conv._PLAN_CACHE.clear()
-    fresh_default = run(None)
-    assert np.array_equal(first, again)
-    assert np.array_equal(default, fresh_default)
-    assert _rel(first, default) > 1e-2
-    assert np.array_equal(run(base), default)
+    assert np.array_equal(run(), first)
 
 
 def test_unit_y_node_conv_memory_peak():

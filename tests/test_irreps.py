@@ -261,12 +261,12 @@ def test_kappa_table_properties():
 
 
 def test_kappa_is_the_same_point_coupling_constant():
-    """[sh_u(r) x sh_v(r)]^(l) = kappa(u,v->l) sh_l(r) for every admissible key."""
-    kt = calibrate_pair_constants(4)
+    """[sh_u(r) x sh_v(r)]^(l) = kappa(u,v->l) sh_l(r) for every key up to J_max."""
+    kt = calibrate_pair_constants(12)
     rng = _rng(18)
     for _ in range(5):
         r = rng.standard_normal(3)
-        tab = solid_sh(4, r, mode="normalized")
+        tab = solid_sh(12, r, mode="normalized")
         for (u, l), val in kt.items():
             zu, zv = tab.block(u), tab.block(l - u)
             got = (zu[:, None] * zv[None, :]).reshape(-1) @ dense_w(u, l - u, l)
