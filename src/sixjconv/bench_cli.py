@@ -19,8 +19,7 @@ Threads: BLAS pools are pinned through environment variables, which only
 works before numpy is first imported. The package loads its submodules
 lazily, so the console entry point reaches this module with numpy still
 unloaded; the ``--threads`` value (default 1) is applied at import time by
-scanning argv. ``SIXJCONV_WARM_JMAX=<j>`` precomputes all Wigner 3j/6j
-entries with degrees <= j before any other work.
+scanning argv.
 """
 
 from __future__ import annotations
@@ -607,14 +606,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    warm = os.environ.get("SIXJCONV_WARM_JMAX")
-    if warm:
-        try:
-            depth = int(warm)
-        except ValueError:
-            print(f"SIXJCONV_WARM_JMAX={warm!r} is not an integer", file=sys.stderr)
-            return 2
-        angular.default_cache.warm(depth)
     return args.func(args)
 
 

@@ -19,7 +19,8 @@ the coupling order per center with Wigner 6j coefficients:
 The pair constants kappa(u, l-u -> l) come in closed form from exact 3j
 symbols (``irreps.calibrate_pair_constants``), and every node call computes
 the harmonics sh(r_i) of its own node positions; a caller supplies neither.
-Attention weights arrive as ``AttentionWeights``, never as a bare array.
+Attention weights on a graph arrive as ``AttentionWeights``, never as a
+bare array; only ``attention_node_conv`` also takes a bare dense array.
 
 Both routes produce identical outputs (the equivalence suite pins this at
 1e-10); their cost profiles differ: tensor products per edge versus per node.
@@ -34,6 +35,10 @@ d and sums them over each node's neighbours with one sparse matrix product
 GEMM, then couples x with sh_u(r_i) through a per-node operator per output
 degree, built by one GEMM from the node harmonics and applied by one
 batched matmul. S and x of one d are released before the next.
+
+Every node-route call runs through the one entry ``_node_route``; a caller
+supplies stage 2 only: a sum over a graph's edges (``node_conv`` and every
+``attention_node_conv`` mode) or over all nodes (``moments_conv``).
 
 Normalization modes: "raw-solid" uses the solid harmonics as-is; "unit-Y"
 divides the degree-l edge harmonic by |r_ij|^l, which on the node route is
@@ -75,16 +80,17 @@ __all__ = [
     "binomial_expand_sh",
     "node_conv",
     "attention_node_conv",
-    "global_moments",
     "moments_conv",
     "adjacency_indicator",
 ]
 
 MODES = ("raw-solid", "unit-Y", "alg1-literal")
 
+_EPS = 1e-8  # shortest edge a mode that divides by |r_ij| accepts
+
 
 class DegenerateEdgeError(ValueError):
-    """A zero-length edge was hit in a mode that divides by distance."""
+    """An edge shorter than 1e-8 was hit in a mode that divides by distance."""
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,6 @@ class ConvConfig:
     channels: int
     mode: str = "raw-solid"
     include_self: bool = False
-    eps: float = 1e-8
     harmonic_degrees: tuple | None = None
 
     def __post_init__(self):
@@ -238,11 +243,8 @@ def _check_inputs(positions, h: IrrepTensor, cfg: ConvConfig) -> np.ndarray:
     positions = np.asarray(positions, dtype=float)
     if positions.shape != (h.n_nodes, 3):
         raise ValueError("positions must be (N, 3) and match h")
-    _check_h(h, cfg)
-    return positions
-
-
-def _check_h(h: IrrepTensor, cfg: ConvConfig):
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
     for l in h.layout.degrees:
         h.layout.index_of_degree(l)  # rejects duplicate degrees
     for _, c in h.layout.entries:
@@ -250,6 +252,9 @@ def _check_h(h: IrrepTensor, cfg: ConvConfig):
             raise ValueError(
                 f"feature channels {c} do not match cfg.channels {cfg.channels}"
             )
+    if not np.isfinite(h.values).all():
+        raise ValueError("features must be finite")
+    return positions
 
 
 def _check_node_degrees(h: IrrepTensor, cfg: ConvConfig):
@@ -279,13 +284,13 @@ def _pack_out(blocks) -> IrrepTensor:
     return IrrepTensor.from_blocks(entries, blocks)
 
 
-def _degenerate(centers, sources, dist, eps, what):
-    bad = np.flatnonzero(dist < eps)
+def _degenerate(centers, sources, dist, what):
+    bad = np.flatnonzero(dist < _EPS)
     if bad.size:
         b = bad[0]
         raise DegenerateEdgeError(
             f"edge ({centers[b]}, {sources[b]}) has |r_ij| = {dist[b]:.3e} "
-            f"< eps = {eps:.1e} {what}"
+            f"< eps = {_EPS:.1e} {what}"
         )
 
 
@@ -341,7 +346,7 @@ def edge_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> 
         tab = solid_sh(vmax, rij, mode="normalized")
         if cfg.mode == "unit-Y":
             dist = np.linalg.norm(rij, axis=1)
-            _degenerate(cc, ss, dist, cfg.eps, "in unit-Y mode")
+            _degenerate(cc, ss, dist, "in unit-Y mode")
         # centers ascend within edge_arrays order, so runs of equal center
         # are contiguous and reduceat can pre-sum each run
         seg_starts = np.flatnonzero(np.r_[True, cc[1:] != cc[:-1]])
@@ -614,6 +619,44 @@ def _sparse_aggregator(centers, sources, vals, dist, n: int):
     return aggregate
 
 
+def _graph_stage2(graph, cfg: ConvConfig, alpha):
+    """Stage 2 over the edges of ``graph`` with per-head weights ``alpha``
+    (None or ``AttentionWeights``); adds are counted per edge."""
+
+    def stage2(positions, plan: _NodePlan):
+        n = positions.shape[0]
+        centers, sources = _edges_of(graph, cfg, n)
+        vals = _alpha_heads(alpha, centers, sources, cfg.channels)
+        dist = None
+        exps = {run[0] for dp in plan.degrees for run in dp.runs}
+        if exps and (cfg.mode == "unit-Y" or max(exps) > 0):
+            dist = np.linalg.norm(positions[centers] - positions[sources], axis=1)
+            what = ("in unit-Y mode" if cfg.mode == "unit-Y"
+                    else f"with exponent {min(x for x in exps if x)}")
+            _degenerate(centers, sources, dist, what)
+        agg = _sparse_aggregator(centers, sources, vals, dist, n)
+        return agg, vals.shape[1], centers.shape[0]
+
+    return stage2
+
+
+def _node_route(positions, h: IrrepTensor, cfg: ConvConfig, stage2) -> ConvResult:
+    """The one node-route entry: input checks, plan, node harmonics,
+    counters, the three stages and packing.
+
+    ``stage2(positions, plan)`` returns the stage-2 ``aggregate`` function
+    of ``_node_stages``, the head count and the adds per aggregated row.
+    """
+    positions = _check_inputs(positions, h, cfg)
+    _check_node_degrees(h, cfg)
+    plan = _node_plan(h.layout.degrees, cfg)
+    sh_table = solid_sh(plan.sh_degree, positions, mode="normalized")
+    aggregate, heads, adds = stage2(positions, plan)
+    counters = OpCounters(h.n_nodes * (plan.n_p + plan.n_applied), adds * plan.n_rows)
+    out = _node_stages(h, sh_table, plan, aggregate, heads, cfg)
+    return ConvResult(_pack_out(out), counters)
+
+
 def node_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> ConvResult:
     """Factorized convolution: tensor products per node, scalar sums per edge.
 
@@ -624,84 +667,40 @@ def node_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> 
     """
     if cfg.mode == "alg1-literal":
         raise ValueError("alg1-literal is an attention_node_conv mode")
-    return _node_route(graph, positions, h, cfg, alpha)
-
-
-def _node_route(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha) -> ConvResult:
-    """The node route on a graph's edges: input checks, plan, node harmonics
-    and the three stages."""
-    positions = _check_inputs(positions, h, cfg)
-    _check_node_degrees(h, cfg)
-    plan = _node_plan(h.layout.degrees, cfg)
-    sh_table = solid_sh(plan.sh_degree, positions, mode="normalized")
-    n = h.n_nodes
-    centers, sources = _edges_of(graph, cfg, n)
-    vals = _alpha_heads(alpha, centers, sources, cfg.channels)
-    e = centers.shape[0]
-    counters = OpCounters(n * (plan.n_p + plan.n_applied), e * plan.n_rows)
-    dist = None
-    exps = {run[0] for dp in plan.degrees for run in dp.runs}
-    if exps and (cfg.mode == "unit-Y" or max(exps) > 0):
-        dist = np.linalg.norm(positions[centers] - positions[sources], axis=1)
-        what = ("in unit-Y mode" if cfg.mode == "unit-Y"
-                else f"with exponent {min(x for x in exps if x)}")
-        _degenerate(centers, sources, dist, cfg.eps, what)
-    agg = _sparse_aggregator(centers, sources, vals, dist, n)
-    out = _node_stages(h, sh_table, plan, agg, vals.shape[1], cfg)
-    return ConvResult(_pack_out(out), counters)
+    return _node_route(positions, h, cfg, _graph_stage2(graph, cfg, alpha))
 
 
 # ---------------------------------------------------------------------------
-# dense attention variant and global moments
+# dense attention and global moments
 
 
 def attention_node_conv(positions, h: IrrepTensor, alpha, cfg: ConvConfig) -> ConvResult:
     """Dense-attention node convolution (three normalization modes).
 
-    ``alpha`` is dense (N, N) or (N, N, H). Modes "raw-solid" and "unit-Y"
-    sum all configured harmonic degrees and equal the corresponding
-    edge_conv/node_conv on the dense graph with the same weights. Mode
-    "alg1-literal" runs the single top harmonic degree L = l_max with the
-    per-term attention normalization alpha / |r_ij|^k, k being the j-side
-    degree of each binomial term; that mixes radial scales across terms, so
-    it matches neither plain-solid nor unit-Y convolutions and is pinned by
-    a golden regression test instead.
+    ``alpha`` holds dense (N, N) or (N, N, H) weights, as a raw array or as
+    ``AttentionWeights.from_dense``; per-edge ``AttentionWeights`` are
+    rejected. Modes "raw-solid" and "unit-Y" sum all configured harmonic
+    degrees and equal the corresponding edge_conv/node_conv on the dense
+    graph with the same weights. Mode "alg1-literal" runs the single top
+    harmonic degree L = l_max with the per-term attention normalization
+    alpha / |r_ij|^k, k being the j-side degree of each binomial term; that
+    mixes radial scales across terms, so it matches neither plain-solid nor
+    unit-Y convolutions and is pinned by a golden regression test instead.
     """
     from .graph import dense as dense_graph
 
     n = h.n_nodes
-    vals = alpha.values if isinstance(alpha, AttentionWeights) else np.asarray(alpha, dtype=float)
-    if vals.ndim not in (2, 3) or vals.shape[0] != n or vals.shape[1] != n:
+    if not isinstance(alpha, AttentionWeights):
+        alpha = AttentionWeights.from_dense(alpha)
+    elif not alpha.dense:
+        raise ValueError("attention_node_conv needs dense weights, got per-edge "
+                         "AttentionWeights; pass the graph to node_conv instead")
+    if alpha.values.shape[:2] != (n, n):
         raise ValueError("attention_node_conv needs dense (N, N) or (N, N, H) weights")
-    aw = AttentionWeights.from_dense(vals)
     if cfg.mode != "alg1-literal":
-        return node_conv(dense_graph(n), positions, h, cfg, alpha=aw)
+        return node_conv(dense_graph(n), positions, h, cfg, alpha=alpha)
     top = replace(cfg, harmonic_degrees=(cfg.l_max,))
-    return _node_route(dense_graph(n), positions, h, top, aw)
-
-
-def global_moments(positions, h: IrrepTensor, degrees) -> dict:
-    """Global moment blocks M^(q) = sum_j [h_j x sh_q(r_j)]^(d), all d.
-
-    Returns {q: {(a, d): (channels, 2d+1) array}}; the node axis is summed
-    away, so one set of moments serves every center of a dense interaction.
-    """
-    positions = np.asarray(positions, dtype=float)
-    degrees = tuple(sorted({int(q) for q in degrees}))
-    tab = solid_sh(max(degrees, default=0), positions, mode="normalized")
-    out: dict = {}
-    for q in degrees:
-        per_q: dict = {}
-        for a in h.layout.degrees:
-            d_all = tuple(range(abs(a - q), a + q + 1))
-            res = _own_harmonic_product(_head_major(h.degree_block(a), 1), tab.blocks[q],
-                                        _harmonic_first(a, q, d_all))[0].sum(axis=0)
-            col = 0
-            for d in d_all:
-                per_q[(a, d)] = res[col:col + 2 * d + 1].T
-                col += 2 * d + 1
-        out[q] = per_q
-    return out
+    return _node_route(positions, h, top, _graph_stage2(dense_graph(n), top, alpha))
 
 
 def moments_conv(positions, h: IrrepTensor, cfg: ConvConfig) -> ConvResult:
@@ -714,16 +713,10 @@ def moments_conv(positions, h: IrrepTensor, cfg: ConvConfig) -> ConvResult:
     """
     if cfg.mode != "raw-solid":
         raise ValueError("moments_conv requires raw-solid mode")
-    positions = _check_inputs(positions, h, cfg)
-    _check_node_degrees(h, cfg)
-    plan = _node_plan(h.layout.degrees, cfg)
-    tab = solid_sh(plan.sh_degree, positions, mode="normalized")
-    n = h.n_nodes
-    # per-node adds: the moments are global
-    counters = OpCounters(n * (plan.n_p + plan.n_applied), n * plan.n_rows)
 
     def aggregate(e, blocks):
         m = blocks.sum(axis=1, keepdims=True)
         return (m + np.zeros_like(blocks)) if cfg.include_self else (m - blocks)
 
-    return ConvResult(_pack_out(_node_stages(h, tab, plan, aggregate, 1, cfg)), counters)
+    # the sum over j is global, so adds are counted per node
+    return _node_route(positions, h, cfg, lambda pos, plan: (aggregate, 1, h.n_nodes))

@@ -27,10 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import DEFAULT_J_MAX
+from .angular import DEFAULT_J_MAX, real_cg_table
 
 __all__ = [
-    "ConstructionError",
     "SolidHarmonicsTable",
     "Rotation",
     "WignerD",
@@ -40,10 +39,6 @@ __all__ = [
     "rotate_cloud",
     "presentation_scale",
 ]
-
-
-class ConstructionError(RuntimeError):
-    """A numerically ill-conditioned construction was detected."""
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +210,7 @@ def additivity_check(r_i, r_j) -> float:
 
 
 _ORTHO_TOL = 1e-12
+_YZX = [1, 2, 0]  # coordinates in the component order of the degree-1 block
 
 
 @dataclass(frozen=True)
@@ -269,42 +265,25 @@ class WignerD:
     """Real representation matrix of one rotation at degree l.
 
     Acts on normalized-basis blocks: solid_sh(l, R r) = D @ solid_sh(l, r).
-    Orthogonal, and a homomorphism in R up to solver tolerance.
+    Orthogonal, and a homomorphism in R, to rounding.
     """
 
     l: int
     matrix: np.ndarray
 
 
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    i = np.arange(n, dtype=float)
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-
-
-_COND_LIMIT = 1e8
-
-
 def wigner_d(l: int, rot: Rotation) -> WignerD:
-    """Real Wigner D matrix for degree l in the normalized basis.
+    """Real Wigner D matrix for degree l in the normalized basis, exact.
 
-    Solved from samples: evaluate normalized harmonics on a well-spread set
-    of unit vectors before and after rotation, then least-squares for the
-    (2l+1) x (2l+1) matrix. Avoids committing to an Euler-angle convention.
+    D^1 is the rotation matrix in the (y, z, x) order of the degree-1 block.
+    Higher degrees follow from D^l = W^T (D^(l-1) x D^1) W, W the real
+    coupling table (l-1, 1 -> l) as a ((2l-1) 3, 2l+1) isometry, which
+    intertwines the product representation with degree l.
     """
-    if l == 0:
-        return WignerD(l=0, matrix=np.ones((1, 1)))
-    pts = _fibonacci_sphere(max(2 * l + 1, 4 * l + 2))
-    before = solid_sh(l, pts, mode="normalized").blocks[l]
-    after = solid_sh(l, rot.apply(pts), mode="normalized").blocks[l]
-    cond = np.linalg.cond(before)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise ConstructionError(
-            f"harmonic sample matrix for l={l} is ill-conditioned (cond={cond:.3e})"
-        )
-    sol, *_ = np.linalg.lstsq(before, after, rcond=None)
-    d = sol.T
+    d1 = rot.matrix[np.ix_(_YZX, _YZX)]
+    d = np.ones((1, 1))
+    for k in range(1, l + 1):
+        w = real_cg_table(k - 1, 1, k).reshape(3 * (2 * k - 1), 2 * k + 1)
+        d = w.T @ np.kron(d, d1) @ w
     d.setflags(write=False)
     return WignerD(l=l, matrix=d)

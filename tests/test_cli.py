@@ -1,7 +1,6 @@
 """Command-line interface: verify suites, bench CSV contract, report parsing."""
 
 import csv
-import os
 import shutil
 import subprocess
 import sys
@@ -217,21 +216,6 @@ def test_report_missing_file_exits_2(tmp_path, capsys):
 
 def _module_cmd(*args):
     return [sys.executable, "-m", "sixjconv.bench_cli", *args]
-
-
-def test_warm_env_var_accepted():
-    env = dict(os.environ, SIXJCONV_WARM_JMAX="3")
-    res = subprocess.run(_module_cmd("verify", "--suite", "angular"),
-                         capture_output=True, text=True, env=env)
-    assert res.returncode == 0, res.stderr
-
-
-def test_warm_env_var_rejects_garbage():
-    env = dict(os.environ, SIXJCONV_WARM_JMAX="banana")
-    res = subprocess.run(_module_cmd("verify", "--suite", "angular"),
-                         capture_output=True, text=True, env=env)
-    assert res.returncode == 2
-    assert "SIXJCONV_WARM_JMAX" in res.stderr
 
 
 def test_threads_flag_smoke(tmp_path):

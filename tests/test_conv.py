@@ -23,7 +23,6 @@ from sixjconv.conv import (
     attention_node_conv,
     binomial_expand_sh,
     edge_conv,
-    global_moments,
     moments_conv,
     node_conv,
 )
@@ -549,17 +548,6 @@ def test_moments_single_node():
     assert _rel(kept.output.values, want.output.values) < 1e-12
 
 
-def test_global_moments_structure():
-    cloud = random_cloud(5, seed=20)
-    h = _feat(5, 2, 3, seed=20)
-    mom = global_moments(cloud.positions, h, degrees=(0, 1, 2))
-    assert set(mom.keys()) == {0, 1, 2}
-    for q, per_pair in mom.items():
-        for (a, d), blk in per_pair.items():
-            assert abs(a - q) <= d <= a + q
-            assert blk.shape == (3, 2 * d + 1)
-
-
 # -- symmetry properties ----------------------------------------------------------
 
 
@@ -848,3 +836,48 @@ def test_unit_y_node_conv_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 200 * 2**20
+
+
+@pytest.mark.parametrize("mode", ["raw-solid", "unit-Y", "alg1-literal"])
+def test_attention_rejects_per_edge_weights(mode):
+    # a (4, 4) per-edge array of a 4-node graph has the shape of dense
+    # weights; it must not be read as dense because its shape fits
+    n = 4
+    cloud = random_cloud(n, seed=60)
+    h = _feat(n, 1, 2, seed=61)
+    vals = _rng(62).uniform(0.5, 1.5, (n, n))
+    cfg = ConvConfig(l_max=1, channels=2, mode=mode)
+    with pytest.raises(ValueError, match="per-edge"):
+        attention_node_conv(cloud.positions, h, AttentionWeights.from_edges(vals), cfg)
+    dense_aw = AttentionWeights.from_dense(vals)
+    got = attention_node_conv(cloud.positions, h, dense_aw, cfg).output.values
+    want = attention_node_conv(cloud.positions, h, vals, cfg).output.values
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("entry", ["edge_conv", "node_conv", "attention_node_conv",
+                                   "moments_conv"])
+def test_non_finite_inputs_rejected(entry):
+    n = 12
+    cloud = random_cloud(n, seed=63)
+    g = knn(cloud, 3)
+    call = {
+        "edge_conv": lambda pos, h, cfg: edge_conv(g, pos, h, cfg),
+        "node_conv": lambda pos, h, cfg: node_conv(g, pos, h, cfg),
+        "attention_node_conv": lambda pos, h, cfg: attention_node_conv(pos, h, np.ones((n, n)), cfg),
+        "moments_conv": moments_conv,
+    }[entry]
+    h = _feat(n, 2, 2, seed=64)
+    modes = ("raw-solid",) if entry == "moments_conv" else ("raw-solid", "unit-Y")
+    for mode in modes:
+        cfg = ConvConfig(l_max=2, channels=2, mode=mode)
+        assert np.isfinite(call(cloud.positions, h, cfg).output.values).all()
+        for bad in (np.nan, np.inf):
+            pos = cloud.positions.copy()
+            pos[5, 1] = bad
+            with pytest.raises(ValueError, match="positions must be finite"):
+                call(pos, h, cfg)
+            feat = _feat(n, 2, 2, seed=64)
+            feat.values[7, 3] = bad
+            with pytest.raises(ValueError, match="features must be finite"):
+                call(cloud.positions, feat, cfg)
