@@ -209,6 +209,18 @@ def _suite_equivalence(rng, n=10, k=3, lmax=2) -> str:
                     f"edge vs node ({mode}, {label}) rel err {err:.2e} "
                     f"at n={n} k={k} lmax={lmax} cloud seed 2024"
                 )
+    # dense weights take the dense stage 2 on the node route
+    heads = conv.AttentionWeights.from_dense(rng.uniform(0.5, 1.5, (n, n, ch)))
+    for mode in ("raw-solid", "unit-Y"):
+        cfg = conv.ConvConfig(l_max=lmax, channels=ch, mode=mode)
+        oe = conv.edge_conv(graph.dense(n), cloud.positions, h, cfg, alpha=heads)
+        on = conv.attention_node_conv(cloud.positions, h, heads, cfg)
+        err = _rel_err(on.output.values, oe.output.values)
+        if err > EQUIV_TOL:
+            return (
+                f"attention vs dense edge ({mode}, {ch} heads) rel err {err:.2e} "
+                f"at n={n} lmax={lmax} cloud seed 2024"
+            )
     cfg = conv.ConvConfig(l_max=lmax, channels=ch)
     tps = set()
     for kk in (2, 5, 8):

@@ -30,15 +30,19 @@ P_j^(a, v, d) = [h_j x sh_v(r_j)]^(d): one GEMM contracts each node's
 harmonic sh_v(r_j) with the coupling tables into a per-node operator, which
 one batched matmul applies to all channels of the node. Stages 2 and 3 then
 run one intermediate degree d at a time. Stage 2 stacks the P blocks of that
-d and sums them over each node's neighbours with one sparse matrix product
-(S). Stage 3 forms every 6j-weighted sum x = sum g S of that d with one
+d and sums them over each node's neighbours (S): on a graph with one sparse
+matrix product per weight exponent; on dense weights (H, N, N) with one
+batched GEMM per head and exponent, S_h = (w_h / |r_ij|^e) @ P_h, with no
+edge list. Stage 3 forms every 6j-weighted sum x = sum g S of that d with one
 GEMM, then couples x with sh_u(r_i) through a per-node operator per output
 degree, built by one GEMM from the node harmonics and applied by one
 batched matmul. S and x of one d are released before the next.
 
 Every node-route call runs through the one entry ``_node_route``; a caller
-supplies stage 2 only: a sum over a graph's edges (``node_conv`` and every
-``attention_node_conv`` mode) or over all nodes (``moments_conv``).
+supplies stage 2 only: a sum over a graph's edges (``node_conv``), the dense
+sum (``attention_node_conv`` in every mode, and ``node_conv`` on a graph whose
+edges are every ordered pair, which its edge arrays show), or a sum over all
+nodes (``moments_conv``).
 
 Normalization modes: "raw-solid" uses the solid harmonics as-is; "unit-Y"
 divides the degree-l edge harmonic by |r_ij|^l, which on the node route is
@@ -101,7 +105,7 @@ class ConvConfig:
     (default: all of 0..l_max). ``include_self`` adds the j = i term, which
     only makes sense with uniform or dense attention weights; the zero-length
     self edge is harmless in raw-solid mode because harmonics of degree >= 1
-    vanish at the origin.
+    vanish at the origin. unit-Y divides by |r_ij| and rejects it.
     """
 
     l_max: int
@@ -113,6 +117,9 @@ class ConvConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode == "unit-Y" and self.include_self:
+            raise ValueError("mode='unit-Y' cannot take include_self=True: it divides "
+                             "by |r_ij|, which is 0 on the self edge")
         if self.l_max < 0 or self.channels < 1:
             raise ValueError("l_max must be >= 0 and channels >= 1")
         default_cache._check(self.l_max)
@@ -234,9 +241,13 @@ def _alpha_heads(alpha, centers, sources, channels: int) -> np.ndarray:
             "wrap arrays with AttentionWeights.from_dense or AttentionWeights.from_edges"
         )
     vals = alpha.edge_values(centers, sources)
-    if channels % vals.shape[1]:
-        raise ValueError(f"{vals.shape[1]} heads do not divide {channels} channels")
+    _check_heads(vals.shape[1], channels)
     return vals
+
+
+def _check_heads(heads: int, channels: int):
+    if channels % heads:
+        raise ValueError(f"{heads} heads do not divide {channels} channels")
 
 
 def _check_inputs(positions, h: IrrepTensor, cfg: ConvConfig) -> np.ndarray:
@@ -284,12 +295,14 @@ def _pack_out(blocks) -> IrrepTensor:
     return IrrepTensor.from_blocks(entries, blocks)
 
 
-def _degenerate(centers, sources, dist, what):
+def _degenerate(dist, pair, what):
+    """Reject the first distance below _EPS; ``pair`` maps its flat index in
+    ``dist`` to the edge (i, j)."""
     bad = np.flatnonzero(dist < _EPS)
     if bad.size:
-        b = bad[0]
+        i, j = pair(bad[0])
         raise DegenerateEdgeError(
-            f"edge ({centers[b]}, {sources[b]}) has |r_ij| = {dist[b]:.3e} "
+            f"edge ({i}, {j}) has |r_ij| = {dist.flat[bad[0]]:.3e} "
             f"< eps = {_EPS:.1e} {what}"
         )
 
@@ -346,7 +359,7 @@ def edge_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> 
         tab = solid_sh(vmax, rij, mode="normalized")
         if cfg.mode == "unit-Y":
             dist = np.linalg.norm(rij, axis=1)
-            _degenerate(cc, ss, dist, "in unit-Y mode")
+            _degenerate(dist, lambda b: (cc[b], ss[b]), "in unit-Y mode")
         # centers ascend within edge_arrays order, so runs of equal center
         # are contiguous and reduceat can pre-sum each run
         seg_starts = np.flatnonzero(np.r_[True, cc[1:] != cc[:-1]])
@@ -619,21 +632,75 @@ def _sparse_aggregator(centers, sources, vals, dist, n: int):
     return aggregate
 
 
+def _divisor(plan: _NodePlan, cfg: ConvConfig):
+    """How a DegenerateEdgeError names the division by |r_ij|, or None when
+    no stage-2 weight divides by it."""
+    exps = {run[0] for dp in plan.degrees for run in dp.runs}
+    if not exps or (cfg.mode != "unit-Y" and max(exps) == 0):
+        return None
+    if cfg.mode == "unit-Y":
+        return "in unit-Y mode"
+    return f"with exponent {min(x for x in exps if x)}"
+
+
+def _dense_stage2(positions, w, plan: _NodePlan, cfg: ConvConfig):
+    """Stage 2 over every ordered pair i != j (and i == j under
+    include_self): S_h = (w_h / |r_ij|^e) @ P_h, per head.
+
+    ``w`` holds head-major weights (H, N, N), zero off the pairs. Each
+    exponent's weight matrix is built once and applied to all heads by one
+    batched matmul. Every pair is checked for a degenerate distance,
+    whatever its weight. Adds are counted per pair.
+    """
+    heads, n, _ = w.shape
+    dist = None
+    what = _divisor(plan, cfg)
+    if what is not None:
+        dist = np.linalg.norm(positions[:, None] - positions[None], axis=2)
+        if not cfg.include_self:
+            # no self edge: it is not checked, and w / inf^e stays 0 there
+            np.fill_diagonal(dist, np.inf)
+        _degenerate(dist, lambda b: divmod(b, n), what)
+    mats: dict = {}
+
+    def aggregate(e, blocks):
+        if e not in mats:
+            mats[e] = w if e == 0 else w / dist ** e
+        return np.matmul(mats[e], blocks.reshape(heads, n, -1)).reshape(blocks.shape)
+
+    return aggregate, heads, n * n if cfg.include_self else n * (n - 1)
+
+
+def _complete(centers, sources, n: int, include_self: bool) -> bool:
+    """Whether the CSR-ordered edges hold every ordered pair i != j exactly
+    once, plus every (i, i) under include_self. Read from the edges alone: a
+    NeighborGraph accepts any lists, duplicates included, whatever its kind."""
+    if centers.shape[0] != (n * n if include_self else n * (n - 1)):
+        return False
+    keys = np.arange(n * n, dtype=np.int64)
+    if not include_self:
+        keys = keys[keys % (n + 1) != 0]
+    return np.array_equal(centers, keys // n) and np.array_equal(sources, keys % n)
+
+
 def _graph_stage2(graph, cfg: ConvConfig, alpha):
     """Stage 2 over the edges of ``graph`` with per-head weights ``alpha``
-    (None or ``AttentionWeights``); adds are counted per edge."""
+    (None or ``AttentionWeights``); adds are counted per edge. A complete
+    graph takes the dense stage 2, with its edge weights scattered into w."""
 
     def stage2(positions, plan: _NodePlan):
         n = positions.shape[0]
         centers, sources = _edges_of(graph, cfg, n)
         vals = _alpha_heads(alpha, centers, sources, cfg.channels)
+        if _complete(centers, sources, n, cfg.include_self):
+            w = np.zeros((vals.shape[1], n, n))
+            w[:, centers, sources] = vals.T
+            return _dense_stage2(positions, w, plan, cfg)
         dist = None
-        exps = {run[0] for dp in plan.degrees for run in dp.runs}
-        if exps and (cfg.mode == "unit-Y" or max(exps) > 0):
+        what = _divisor(plan, cfg)
+        if what is not None:
             dist = np.linalg.norm(positions[centers] - positions[sources], axis=1)
-            what = ("in unit-Y mode" if cfg.mode == "unit-Y"
-                    else f"with exponent {min(x for x in exps if x)}")
-            _degenerate(centers, sources, dist, what)
+            _degenerate(dist, lambda b: (centers[b], sources[b]), what)
         agg = _sparse_aggregator(centers, sources, vals, dist, n)
         return agg, vals.shape[1], centers.shape[0]
 
@@ -686,9 +753,12 @@ def attention_node_conv(positions, h: IrrepTensor, alpha, cfg: ConvConfig) -> Co
     alpha / |r_ij|^k, k being the j-side degree of each binomial term; that
     mixes radial scales across terms, so it matches neither plain-solid nor
     unit-Y convolutions and is pinned by a golden regression test instead.
-    """
-    from .graph import dense as dense_graph
 
+    Stage 2 aggregates by one batched GEMM per head and weight exponent over
+    a head-major copy of the weights, with the diagonal zeroed unless
+    cfg.include_self; no edge list is built. Every pair is still checked for
+    a degenerate distance in the modes that divide by it, whatever its weight.
+    """
     n = h.n_nodes
     if not isinstance(alpha, AttentionWeights):
         alpha = AttentionWeights.from_dense(alpha)
@@ -697,10 +767,21 @@ def attention_node_conv(positions, h: IrrepTensor, alpha, cfg: ConvConfig) -> Co
                          "AttentionWeights; pass the graph to node_conv instead")
     if alpha.values.shape[:2] != (n, n):
         raise ValueError("attention_node_conv needs dense (N, N) or (N, N, H) weights")
-    if cfg.mode != "alg1-literal":
-        return node_conv(dense_graph(n), positions, h, cfg, alpha=alpha)
-    top = replace(cfg, harmonic_degrees=(cfg.l_max,))
-    return _node_route(positions, h, top, _graph_stage2(dense_graph(n), top, alpha))
+    if cfg.mode == "alg1-literal":
+        cfg = replace(cfg, harmonic_degrees=(cfg.l_max,))
+
+    def stage2(positions, plan: _NodePlan):
+        _check_heads(alpha.heads, cfg.channels)
+        v = alpha.values
+        # a C-contiguous head-major copy: GEMMs on a strided view of the
+        # (N, N, H) values run far slower
+        w = np.array(np.moveaxis(v, 2, 0) if v.ndim == 3 else v[None], order="C")
+        if not cfg.include_self:
+            idx = np.arange(n)
+            w[:, idx, idx] = 0.0
+        return _dense_stage2(positions, w, plan, cfg)
+
+    return _node_route(positions, h, cfg, stage2)
 
 
 def moments_conv(positions, h: IrrepTensor, cfg: ConvConfig) -> ConvResult:

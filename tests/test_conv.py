@@ -881,3 +881,124 @@ def test_non_finite_inputs_rejected(entry):
             feat.values[7, 3] = bad
             with pytest.raises(ValueError, match="features must be finite"):
                 call(cloud.positions, feat, cfg)
+
+
+def test_unit_y_rejects_include_self_when_built():
+    # unit-Y divides by |r_ij|, and the self edge has length 0 at any l_max
+    with pytest.raises(ValueError, match=r"mode='unit-Y'.*include_self=True"):
+        ConvConfig(l_max=0, channels=1, mode="unit-Y", include_self=True)
+    for mode in ("raw-solid", "alg1-literal"):
+        assert ConvConfig(l_max=0, channels=1, mode=mode, include_self=True).include_self
+
+
+def _sparse_route_on_dense(pos, h, alpha, cfg):
+    """The graph route on ``dense(n)``: stage 2 as one sparse product over
+    the explicit edge list (self edges under include_self)."""
+    from dataclasses import replace
+
+    from sixjconv.conv import _edges_of, _node_route, _sparse_aggregator
+
+    n = h.n_nodes
+    if cfg.mode == "alg1-literal":
+        cfg = replace(cfg, harmonic_degrees=(cfg.l_max,))
+    centers, sources = _edges_of(dense(n), cfg, n)
+    vals = AttentionWeights.from_dense(alpha).edge_values(centers, sources)
+    dist = np.linalg.norm(pos[centers] - pos[sources], axis=1)
+
+    def stage2(positions, plan):
+        agg = _sparse_aggregator(centers, sources, vals, dist, n)
+        return agg, vals.shape[1], centers.shape[0]
+
+    return _node_route(pos, h, cfg, stage2)
+
+
+@pytest.mark.parametrize("mode, n, heads, include_self", [
+    (mode, n, heads, False)
+    for mode in ("raw-solid", "unit-Y", "alg1-literal")
+    for n, heads in ((9, None), (9, 4), (1, 4))
+] + [("raw-solid", 9, 4, True), ("raw-solid", 1, None, True)])
+def test_dense_stage2_matches_graph_route_on_dense(mode, n, heads, include_self):
+    cloud = random_cloud(n, seed=70)
+    h = _feat(n, 2, 4, seed=71)
+    # a nonzero diagonal, which counts only under include_self
+    alpha = _rng(72).uniform(0.5, 1.5, (n, n) if heads is None else (n, n, heads))
+    cfg = ConvConfig(l_max=2, channels=4, mode=mode, include_self=include_self)
+    got = attention_node_conv(cloud.positions, h, alpha, cfg)
+    want = _sparse_route_on_dense(cloud.positions, h, alpha, cfg)
+    assert _rel(got.output.values, want.output.values) < 1e-12
+    assert got.counters == want.counters
+    if mode == "alg1-literal":
+        return
+    # node_conv on the complete graph, with the same weights given per edge
+    g = dense(n)
+    if not include_self:
+        per_edge = AttentionWeights.from_dense(alpha).edge_values(*g.edge_arrays())
+        on = node_conv(g, cloud.positions, h, cfg, alpha=AttentionWeights.from_edges(per_edge))
+        assert _rel(on.output.values, want.output.values) < 1e-12
+        assert on.counters == want.counters
+    oe = edge_conv(g, cloud.positions, h, cfg, alpha=AttentionWeights.from_dense(alpha))
+    assert _rel(got.output.values, oe.output.values) < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["unit-Y", "alg1-literal"])
+def test_dense_stage2_rejects_a_coincident_pair_whatever_its_weight(mode):
+    import re
+
+    n = 6
+    pos = random_cloud(n, seed=73).positions.copy()
+    pos[4] = pos[1]
+    h = _feat(n, 1, 2, seed=74)
+    cfg = ConvConfig(l_max=1, channels=2, mode=mode)
+    what = "in unit-Y mode" if mode == "unit-Y" else "with exponent 1"
+    msg = re.escape(f"edge (1, 4) has |r_ij| = 0.000e+00 < eps = 1.0e-08 {what}")
+    for weight in (1.0, 0.0):
+        alpha = np.ones((n, n, 2))
+        alpha[1, 4] = alpha[4, 1] = weight
+        with pytest.raises(DegenerateEdgeError, match=msg):
+            attention_node_conv(pos, h, alpha, cfg)
+        if mode == "unit-Y":
+            with pytest.raises(DegenerateEdgeError, match=msg):
+                node_conv(dense(n), pos, h, cfg, alpha=AttentionWeights.from_dense(alpha))
+
+
+def test_node_conv_on_a_near_complete_graph_keeps_its_edges():
+    """N(N-1) edges, one pair listed twice and one missing: the edge count
+    and the graph's kind alone would take it for the complete graph."""
+    from sixjconv.graph import NeighborGraph
+
+    n = 7
+    cloud = random_cloud(n, seed=75)
+    lists = [[j for j in range(n) if j != i] for i in range(n)]
+    lists[2].remove(5)
+    lists[3].append(0)
+    g = NeighborGraph(lists, kind="dense")
+    assert g.n_edges == n * (n - 1)
+    h = _feat(n, 2, 2, seed=76)
+    w = AttentionWeights.from_edges(_rng(77).uniform(0.5, 1.5, (g.n_edges, 2)))
+    for mode in ("raw-solid", "unit-Y"):
+        cfg = ConvConfig(l_max=2, channels=2, mode=mode)
+        for alpha in (None, w):
+            want = edge_conv(g, cloud.positions, h, cfg, alpha=alpha)
+            got = node_conv(g, cloud.positions, h, cfg, alpha=alpha)
+            assert _rel(got.output.values, want.output.values) < 1e-10
+
+
+def test_unit_y_attention_memory_peak():
+    """Dense weights aggregate by one batched GEMM per head and exponent, with
+    no N^2 edge list: unit-Y attention at N=500, L=2 (4 heads, 8 channels)
+    peaks near 31 MiB, and 64 MiB through an edge list and a sparse product."""
+    import tracemalloc
+
+    n = 500
+    cloud = random_cloud(n, seed=78)
+    h = _feat(n, 2, 8, seed=79)
+    w = AttentionWeights.from_dense(_rng(80).uniform(0.5, 1.5, (n, n, 4)))
+    cfg = ConvConfig(l_max=2, channels=8, mode="unit-Y")
+    attention_node_conv(cloud.positions, h, w, cfg)  # coefficient tables and plan
+    tracemalloc.start()
+    try:
+        attention_node_conv(cloud.positions, h, w, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
