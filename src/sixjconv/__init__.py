@@ -8,10 +8,11 @@ Two mathematically identical convolution routes over point clouds:
   with the edge work reduced to scalar-weighted sums, glued back together
   by Wigner 6j recoupling coefficients.
 
-Supporting modules: exact angular coefficients (``angular``), real solid
-harmonics and Wigner D matrices (``harmonics``), irrep feature containers
-and tensor-product primitives (``irreps``), point clouds and neighbor
-graphs (``graph``), and a verification/benchmark CLI (``bench_cli``).
+Supporting modules: exact angular coefficients and real coupling tables
+(``angular``), real solid harmonics and Wigner D matrices (``harmonics``),
+irrep feature containers and the exact pair-coupling constants
+(``irreps``), point clouds and neighbor graphs (``graph``), and a
+verification/benchmark CLI (``bench_cli``).
 
 Submodules load lazily (PEP 562) so the command-line entry point can pin
 BLAS thread counts through environment variables before numpy is imported.

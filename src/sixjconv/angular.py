@@ -17,7 +17,6 @@ conversion to float. Naive float factorials lose all precision above j ~ 8.
 
 from __future__ import annotations
 
-import csv
 import math
 import threading
 from fractions import Fraction
@@ -35,7 +34,6 @@ __all__ = [
     "triangle_ok",
     "wigner3j",
     "clebsch_gordan",
-    "real_cg",
     "real_cg_table",
     "wigner6j",
     "sixj_oracle",
@@ -224,8 +222,8 @@ class CoefficientCache:
 
     Lookups are lock-free once a key's canonical class has been inserted
     (plain dict reads); insertions take an internal lock, so concurrent
-    readers and writers are safe. ``warm(J)`` precomputes everything up to
-    degree J so hot loops can run against a frozen cache.
+    readers and writers are safe. Each value is computed at its first
+    lookup; nothing is precomputed.
     """
 
     def __init__(self, j_max: int = DEFAULT_J_MAX):
@@ -266,42 +264,6 @@ class CoefficientCache:
             with self._lock:
                 self._w6j[canon] = val
             return val
-
-    def warm(self, j_limit: int) -> int:
-        """Precompute all 3j and 6j entries with every degree <= j_limit.
-
-        Returns the number of cached canonical entries afterwards.
-        """
-        if j_limit > self.j_max:
-            raise CapacityError(f"warm depth {j_limit} exceeds J_max={self.j_max}")
-        rng = range(j_limit + 1)
-        for j1 in rng:
-            for j2 in rng:
-                for j3 in range(abs(j1 - j2), min(j1 + j2, j_limit) + 1):
-                    for m1 in range(-j1, j1 + 1):
-                        for m2 in range(-j2, j2 + 1):
-                            if abs(m1 + m2) <= j3:
-                                self.wigner3j((j1, j2, j3, m1, m2, -m1 - m2))
-        for j1 in rng:
-            for j2 in rng:
-                for j3 in range(abs(j1 - j2), min(j1 + j2, j_limit) + 1):
-                    for j4 in rng:
-                        for j5 in range(abs(j4 - j3), min(j4 + j3, j_limit) + 1):
-                            for j6 in range(abs(j1 - j5), min(j1 + j5, j_limit) + 1):
-                                if triangle_ok(j4, j2, j6):
-                                    self.wigner6j((j1, j2, j3, j4, j5, j6))
-        return len(self._w3j) + len(self._w6j)
-
-    def dump_csv(self, path) -> int:
-        """Write the cached canonical 3j entries as CSV; returns row count."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j1", "j2", "j3", "m1", "m2", "m3", "value"])
-            n = 0
-            for key in sorted(self._w3j):
-                writer.writerow([*key, repr(self._w3j[key])])
-                n += 1
-        return n
 
 
 default_cache = CoefficientCache()
@@ -390,15 +352,8 @@ def real_cg_table(l1: int, l2: int, l3: int) -> np.ndarray:
     return out
 
 
-def real_cg(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
-    """Single entry of the real-basis coupling table."""
-    if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
-        raise ValueError("|m| > l")
-    return float(real_cg_table(l1, l2, l3)[m1 + l1, m2 + l2, m3 + l3])
-
-
 # ---------------------------------------------------------------------------
-# independent 6j oracle (tests only; runtime path is the Racah formula)
+# independent 6j oracle (verification only; runtime path is the Racah formula)
 
 
 def sixj_oracle(key) -> float:

@@ -148,22 +148,27 @@ def _suite_harmonics(rng) -> str:
 
 def _suite_recoupling(rng) -> str:
     """Re-association of a triple product through 6j coefficients."""
+
+    def couple(x, y, l1, l2, l3):
+        w = angular.real_cg_table(l1, l2, l3).reshape(-1, 2 * l3 + 1)
+        return (x[:, None] * y[None, :]).reshape(-1) @ w
+
     for _ in range(12):
         a, b, c = (int(rng.integers(0, 3)) for _ in range(3))
         xa = rng.standard_normal(2 * a + 1)
         xb = rng.standard_normal(2 * b + 1)
         xc = rng.standard_normal(2 * c + 1)
         for j in range(abs(b - c), b + c + 1):
-            bc = (xb[:, None] * xc[None, :]).reshape(-1) @ irreps.dense_w(b, c, j)
+            bc = couple(xb, xc, b, c, j)
             for l in range(abs(a - j), a + j + 1):
-                lhs = (xa[:, None] * bc[None, :]).reshape(-1) @ irreps.dense_w(a, j, l)
+                lhs = couple(xa, bc, a, j, l)
                 rhs = np.zeros(2 * l + 1)
                 for d in range(abs(a - b), a + b + 1):
                     sixj = angular.wigner6j((a, b, d, c, l, j))
                     if sixj == 0.0:
                         continue
-                    ab = (xa[:, None] * xb[None, :]).reshape(-1) @ irreps.dense_w(a, b, d)
-                    term = (ab[:, None] * xc[None, :]).reshape(-1) @ irreps.dense_w(d, c, l)
+                    ab = couple(xa, xb, a, b, d)
+                    term = couple(ab, xc, d, c, l)
                     sign = -1.0 if (a + b + c + l) % 2 else 1.0
                     rhs += sign * math.sqrt((2 * d + 1) * (2 * j + 1)) * sixj * term
                 scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-30)

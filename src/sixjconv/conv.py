@@ -72,7 +72,7 @@ import scipy.sparse as sp
 
 from .angular import CapacityError, default_cache, real_cg_table, triangle_ok
 from .harmonics import presentation_scale, solid_sh
-from .irreps import IrrepTensor, calibrate_pair_constants, dense_w
+from .irreps import IrrepTensor, calibrate_pair_constants
 
 __all__ = [
     "ConvConfig",
@@ -85,7 +85,6 @@ __all__ = [
     "node_conv",
     "attention_node_conv",
     "moments_conv",
-    "adjacency_indicator",
 ]
 
 MODES = ("raw-solid", "unit-Y", "alg1-literal")
@@ -188,15 +187,6 @@ class AttentionWeights:
         return out[:, None] if out.ndim == 1 else out
 
 
-def adjacency_indicator(graph) -> AttentionWeights:
-    """Dense 0/1 weights marking the graph's edges (handy for equivalences)."""
-    n = graph.n_nodes
-    a = np.zeros((n, n))
-    centers, sources = graph.edge_arrays()
-    a[centers, sources] = 1.0
-    return AttentionWeights.from_dense(a)
-
-
 @dataclass
 class OpCounters:
     """Logical work counters; see the module docstring for exact semantics."""
@@ -217,6 +207,8 @@ class ConvResult(NamedTuple):
 def _edges_of(graph, cfg: ConvConfig, n: int):
     """Edges in CSR order: centers ascending, sources ascending within a
     center; with include_self each self edge sits at its sorted place."""
+    if graph.n_nodes != n:
+        raise ValueError(f"graph has {graph.n_nodes} nodes, features have {n}")
     centers, sources = graph.edge_arrays()
     if cfg.include_self:
         idx = np.arange(n, dtype=np.int64)
@@ -227,7 +219,7 @@ def _edges_of(graph, cfg: ConvConfig, n: int):
     return centers, sources
 
 
-def _alpha_heads(alpha, centers, sources, channels: int) -> np.ndarray:
+def _alpha_heads(alpha, centers, sources, n: int, channels: int) -> np.ndarray:
     """Per-edge per-head weights (E, H) of None (uniform) or AttentionWeights.
 
     Head k weights the channels [k C/H, (k+1) C/H). A raw array is rejected:
@@ -240,6 +232,9 @@ def _alpha_heads(alpha, centers, sources, channels: int) -> np.ndarray:
             f"alpha must be None or AttentionWeights, got {type(alpha).__name__}; "
             "wrap arrays with AttentionWeights.from_dense or AttentionWeights.from_edges"
         )
+    if alpha.dense and alpha.values.shape[:2] != (n, n):
+        raise ValueError(f"dense weights of shape {alpha.values.shape} do not fit "
+                         f"{n} nodes: need (N, N) or (N, N, H)")
     vals = alpha.edge_values(centers, sources)
     _check_heads(vals.shape[1], channels)
     return vals
@@ -334,11 +329,12 @@ def edge_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> 
     positions = _check_inputs(positions, h, cfg)
     n = h.n_nodes
     centers, sources = _edges_of(graph, cfg, n)
-    aw = _alpha_heads(alpha, centers, sources, cfg.channels)
+    aw = _alpha_heads(alpha, centers, sources, n, cfg.channels)
     if aw.shape[1] > 1:
         aw = np.repeat(aw, cfg.channels // aw.shape[1], axis=1)
     paths = _edge_paths(h.layout.degrees, cfg)
-    tables = {(a, v): np.concatenate([dense_w(a, v, l) for l in louts], axis=1)
+    tables = {(a, v): np.concatenate([real_cg_table(a, v, l).reshape(-1, 2 * l + 1)
+                                      for l in louts], axis=1)
               for a, v, louts in paths}
     out = _out_zeros(n, cfg)
     counters = OpCounters()
@@ -408,7 +404,7 @@ def binomial_expand_sh(l: int, r_i, r_j) -> np.ndarray:
         zj = tab_j.block(v)
         z = (zi[:, None] * zj[None, :]).reshape(-1)
         coef = (-1.0) ** (l - u) * math.comb(l, u) / kappa.kappa(u, v, l)
-        acc += coef * (z @ dense_w(u, v, l))
+        acc += coef * (z @ real_cg_table(u, v, l).reshape(-1, 2 * l + 1))
     return acc / presentation_scale(l)
 
 
@@ -691,7 +687,7 @@ def _graph_stage2(graph, cfg: ConvConfig, alpha):
     def stage2(positions, plan: _NodePlan):
         n = positions.shape[0]
         centers, sources = _edges_of(graph, cfg, n)
-        vals = _alpha_heads(alpha, centers, sources, cfg.channels)
+        vals = _alpha_heads(alpha, centers, sources, n, cfg.channels)
         if _complete(centers, sources, n, cfg.include_self):
             w = np.zeros((vals.shape[1], n, n))
             w[:, centers, sources] = vals.T
@@ -753,6 +749,14 @@ def attention_node_conv(positions, h: IrrepTensor, alpha, cfg: ConvConfig) -> Co
     alpha / |r_ij|^k, k being the j-side degree of each binomial term; that
     mixes radial scales across terms, so it matches neither plain-solid nor
     unit-Y convolutions and is pinned by a golden regression test instead.
+
+    "alg1-literal" is also not translation invariant: each binomial term
+    carries its own power of |r_ij|, so the terms no longer sum to a
+    function of r_ij alone, and the output depends on the coordinate origin
+    of ``positions``. On 24 nodes at L=3, moving every position by 1 along x
+    changes it by 1.6 relative (1.2e-3 for a move of 1e-3), while raw-solid
+    and unit-Y change by rounding only. It is computed at the caller's
+    origin, as given.
 
     Stage 2 aggregates by one batched GEMM per head and weight exponent over
     a head-major copy of the weights, with the diagonal zeroed unless

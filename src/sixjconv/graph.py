@@ -76,6 +76,10 @@ class NeighborGraph:
         indptr = np.zeros(len(lists) + 1, dtype=np.int64)
         np.cumsum([lst.shape[0] for lst in lists], out=indptr[1:])
         indices = np.concatenate(lists) if lists else np.zeros(0, dtype=np.int64)
+        bad = (indices < 0) | (indices >= len(lists))
+        if bad.any():
+            raise ValueError(f"neighbor index {indices[bad][0]} is outside "
+                             f"[0, {len(lists)}) for a graph of {len(lists)} nodes")
         self._set(indptr, indices, kind)
 
     @classmethod

@@ -34,9 +34,7 @@ __all__ = [
     "Rotation",
     "WignerD",
     "solid_sh",
-    "additivity_check",
     "wigner_d",
-    "rotate_cloud",
     "presentation_scale",
 ]
 
@@ -192,19 +190,6 @@ def solid_sh(l_max: int, r, mode: str = "raw") -> SolidHarmonicsTable:
     return SolidHarmonicsTable(l_max=l_max, mode=mode, blocks=blocks, single=single)
 
 
-def additivity_check(r_i, r_j) -> float:
-    """Max-abs residual of the degree-1 additivity R(r_i - r_j) = R(r_i) - R(r_j).
-
-    Fixes the library's edge-vector convention r_ij := r_i - r_j. The same
-    identity fails for every other degree.
-    """
-    ri = np.asarray(r_i, dtype=float)
-    rj = np.asarray(r_j, dtype=float)
-    lhs = solid_sh(1, ri - rj).block(1)
-    rhs = solid_sh(1, ri).block(1) - solid_sh(1, rj).block(1)
-    return float(np.abs(lhs - rhs).max())
-
-
 # ---------------------------------------------------------------------------
 # rotations
 
@@ -253,11 +238,6 @@ class Rotation:
 
     def inverse(self) -> "Rotation":
         return Rotation(self.matrix.T)
-
-
-def rotate_cloud(positions, rot: Rotation) -> np.ndarray:
-    """Apply a rotation to every position; norms are preserved."""
-    return rot.apply(positions)
 
 
 @dataclass(frozen=True)

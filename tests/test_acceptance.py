@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from conftest import acceptance_lines
-from sixjconv.angular import default_cache, sixj_oracle, triangle_ok, wigner3j, wigner6j
+from oracles import PathSpec, cg_tp, wigner6j_tp
+from sixjconv.angular import sixj_oracle, triangle_ok, wigner3j, wigner6j
 from sixjconv.bench_cli import _parse_csv
 from sixjconv.conv import ConvConfig, edge_conv, moments_conv, node_conv
 from sixjconv.graph import dense, knn, random_cloud
-from sixjconv.harmonics import Rotation, rotate_cloud, solid_sh
-from sixjconv.irreps import PathSpec
+from sixjconv.harmonics import Rotation, solid_sh
 
 
 def _rng(key):
@@ -74,7 +74,7 @@ def test_02_equivariance_and_translation():
         scale = np.abs(base.values).max()
         for _ in range(50):
             rot = Rotation.random(rng)
-            turned = route(g, rotate_cloud(cloud.positions, rot),
+            turned = route(g, rot.apply(cloud.positions),
                            h.rotate(rot), cfg).output.values
             err = np.abs(turned - base.rotate(rot).values).max() / scale
             worst_rot = max(worst_rot, err)
@@ -108,7 +108,7 @@ def test_03_binomial_local_expansion():
 
 def test_04_recoupling_identity():
     """Direct vs 6j-recoupled association for all a,b,c <= 3, admissible (j,l)."""
-    from sixjconv.irreps import cg_tp, random_tensor, wigner6j_tp
+    from sixjconv.irreps import random_tensor
     t0 = time.perf_counter()
     worst = 0.0
     cases = 0
@@ -137,7 +137,6 @@ def test_04_recoupling_identity():
 def test_05_angular_oracles_and_orthogonality():
     """6j vs four-3j contraction for j <= 4; 3j/6j orthogonality for j <= 6."""
     t0 = time.perf_counter()
-    default_cache.warm(4)
     worst6 = 0.0
     keys = 0
     for j1 in range(5):

@@ -1,6 +1,5 @@
-"""Wigner 3j/6j cache: values against sympy, symmetries, capacity, dump."""
+"""Wigner 3j/6j cache: values against sympy, symmetries, capacity."""
 
-import csv
 import math
 from fractions import Fraction
 
@@ -10,12 +9,12 @@ from sympy.physics.wigner import clebsch_gordan as sp_cg
 from sympy.physics.wigner import wigner_3j as sp_3j
 from sympy.physics.wigner import wigner_6j as sp_6j
 
+from oracles import real_cg
 from sixjconv.angular import (
     CapacityError,
     CoefficientCache,
     clebsch_gordan,
     default_cache,
-    real_cg,
     real_cg_table,
     sixj_oracle,
     triangle_ok,
@@ -155,33 +154,6 @@ def test_capacity_and_validation():
     cache = CoefficientCache(j_max=2)
     with pytest.raises(CapacityError):
         cache.wigner3j((3, 3, 3, 0, 0, 0))
-    with pytest.raises(CapacityError, match="warm depth"):
-        cache.warm(3)
-
-
-def test_warm_is_idempotent_and_covers_lookups():
-    cache = CoefficientCache(j_max=6)
-    n1 = cache.warm(2)
-    assert n1 > 0
-    # every key reachable at depth 2 is now cached: warming again adds nothing
-    for j1, j2, j3 in _admissible_triples(2):
-        cache.wigner3j((j1, j2, j3, 0, 0, 0))
-        cache.wigner6j((j1, j2, j3, j1, j2, j3))
-    assert cache.warm(2) == n1
-
-
-def test_dump_csv_round_trips(tmp_path):
-    cache = CoefficientCache(j_max=4)
-    cache.warm(1)
-    path = tmp_path / "w3j.csv"
-    n = cache.dump_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["j1", "j2", "j3", "m1", "m2", "m3", "value"]
-    assert len(rows) - 1 == n
-    for row in rows[1:]:
-        key = tuple(int(x) for x in row[:6])
-        assert float(row[6]) == cache.wigner3j(key)  # repr round-trips exactly
 
 
 def test_clebsch_gordan_matches_sympy():

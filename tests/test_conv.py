@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sixjconv.angular import CapacityError, real_cg, triangle_ok, wigner6j
+from oracles import adjacency_indicator, real_cg
+from sixjconv.angular import CapacityError, real_cg_table, triangle_ok, wigner6j
 from sixjconv.conv import (
     AttentionWeights,
     ConvConfig,
     DegenerateEdgeError,
-    adjacency_indicator,
     attention_node_conv,
     binomial_expand_sh,
     edge_conv,
@@ -27,8 +27,8 @@ from sixjconv.conv import (
     node_conv,
 )
 from sixjconv.graph import PointCloud, dense, knn, radius, random_cloud
-from sixjconv.harmonics import Rotation, rotate_cloud, solid_sh
-from sixjconv.irreps import calibrate_pair_constants, dense_w, random_tensor
+from sixjconv.harmonics import Rotation, solid_sh
+from sixjconv.irreps import calibrate_pair_constants, random_tensor
 
 
 def _rng(key):
@@ -103,12 +103,13 @@ def _alg1_reference(pos, h, alpha, L, ch, kappa):
                 u = L - k
                 z = (ti.block(u)[:, None] * tj.block(k)[None, :]).reshape(-1)
                 coef = (-1.0) ** k * math.comb(L, k) / kappa.kappa(u, k, L) / d ** k
-                he += coef * (z @ dense_w(u, k, L))
+                he += coef * (z @ real_cg_table(u, k, L).reshape(-1, 2 * L + 1))
             for a in degrees:
                 ha = h.degree_block(a)[j]
                 for lo in range(abs(a - L), min(a + L, L) + 1):
                     z = (ha[:, :, None] * he[None, None, :]).reshape(ch, -1)
-                    blocks[lo][i] += alpha[i, j] * (z @ dense_w(a, L, lo))
+                    w = real_cg_table(a, L, lo).reshape(-1, 2 * lo + 1)
+                    blocks[lo][i] += alpha[i, j] * (z @ w)
     return np.concatenate([blocks[l].reshape(n, -1) for l in range(L + 1)], axis=1)
 
 
@@ -557,7 +558,7 @@ def test_rotation_equivariance(route, system16):
     cfg = ConvConfig(l_max=2, channels=3)
     rot = Rotation.random(_rng(74))
     base = route(g, cloud.positions, h, cfg).output
-    turned = route(g, rotate_cloud(cloud.positions, rot), h.rotate(rot), cfg).output
+    turned = route(g, rot.apply(cloud.positions), h.rotate(rot), cfg).output
     assert _rel(turned.values, base.rotate(rot).values) < 1e-11
 
 
@@ -638,7 +639,7 @@ def _outer_product(x, sh, l1, l2, l3):
     """[x x sh]^(l3) for x (N, C, 2l1+1), sh (N, 2l2+1), via (N C, ...) rows."""
     n, c, _ = x.shape
     z = (x[:, :, :, None] * sh[:, None, None, :]).reshape(n * c, -1)
-    return (z @ dense_w(l1, l2, l3)).reshape(n, c, -1)
+    return (z @ real_cg_table(l1, l2, l3).reshape(-1, 2 * l3 + 1)).reshape(n, c, -1)
 
 
 def _oracle_node(h, pos, cfg, aggregate):
@@ -1002,3 +1003,63 @@ def test_unit_y_attention_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20
+
+
+# -- inputs that do not fit the features ----------------------------------------
+
+
+ROUTES = pytest.mark.parametrize("route", [edge_conv, node_conv], ids=["edge", "node"])
+
+
+@ROUTES
+@pytest.mark.parametrize("graph_n, feat_n", [(12, 10), (10, 12)])
+def test_graph_must_have_the_features_node_count(route, graph_n, feat_n):
+    """A larger graph made the node route read out of bounds; a smaller one
+    left zero rows on both routes."""
+    g = knn(random_cloud(graph_n, seed=81), 4)
+    pos = random_cloud(feat_n, seed=82).positions
+    h = _feat(feat_n, 2, 2, seed=83)
+    with pytest.raises(ValueError, match=f"graph has {graph_n} nodes, features have {feat_n}"):
+        route(g, pos, h, ConvConfig(l_max=2, channels=2))
+
+
+@ROUTES
+@pytest.mark.parametrize("side", [20, 5])
+def test_dense_weights_must_be_n_by_n(route, side):
+    cloud = random_cloud(12, seed=84)
+    h = _feat(12, 2, 2, seed=85)
+    alpha = AttentionWeights.from_dense(np.ones((side, side)))
+    with pytest.raises(ValueError, match=rf"shape \({side}, {side}\) do not fit 12 nodes"):
+        route(knn(cloud, 4), cloud.positions, h, ConvConfig(l_max=2, channels=2), alpha=alpha)
+
+
+@ROUTES
+@pytest.mark.parametrize("bad", [7, -1])
+def test_neighbor_indices_must_name_nodes(route, bad):
+    """An index beyond N made the node route read out of bounds; -1 wrapped
+    to the last node on both routes."""
+    from sixjconv.graph import NeighborGraph
+
+    pos = random_cloud(4, seed=86).positions
+    h = _feat(4, 2, 2, seed=87)
+    with pytest.raises(ValueError, match=rf"neighbor index {bad} is outside \[0, 4\)"):
+        g = NeighborGraph([[1], [0], [bad], [2]], kind="handmade")
+        route(g, pos, h, ConvConfig(l_max=2, channels=2))
+
+
+def test_alg1_literal_depends_on_the_coordinate_origin():
+    """Each binomial term of alg1-literal carries its own power of |r_ij|, so
+    its output moves with the origin; raw-solid and unit-Y do not."""
+    n, L = 24, 3
+    pos = random_cloud(n, seed=3).positions
+    h = _feat(n, L, 2, seed=4)
+    alpha = _rng(1).uniform(0.5, 1.5, (n, n))
+    moved = {}
+    for mode in ("raw-solid", "unit-Y", "alg1-literal"):
+        cfg = ConvConfig(l_max=L, channels=2, mode=mode)
+        base = attention_node_conv(pos, h, alpha, cfg).output.values
+        shifted = attention_node_conv(pos + [1.0, 0.0, 0.0], h, alpha, cfg).output.values
+        moved[mode] = _rel(shifted, base)
+    assert moved["raw-solid"] < 1e-10
+    assert moved["unit-Y"] < 1e-10
+    assert moved["alg1-literal"] > 0.1

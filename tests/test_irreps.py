@@ -3,23 +3,15 @@
 import numpy as np
 import pytest
 
-from sixjconv.angular import real_cg, triangle_ok
-from sixjconv.harmonics import Rotation, presentation_scale, solid_sh, wigner_d
+from oracles import PathSpec, cg_tp, project, real_cg, tensor_power_project, wigner6j_tp
+from sixjconv.angular import real_cg_table, triangle_ok
+from sixjconv.harmonics import Rotation, solid_sh, wigner_d
 from sixjconv.irreps import (
     IrrepTensor,
     IrrepsLayout,
     KappaTable,
-    PathSpec,
     calibrate_pair_constants,
-    cg_tp,
-    dense_w,
-    from_sh,
-    mix_channels,
-    project,
     random_tensor,
-    sparse_cg,
-    tensor_power_project,
-    wigner6j_tp,
 )
 
 
@@ -71,14 +63,6 @@ def test_random_tensor_philox_determinism():
     assert not np.array_equal(a.values, c.values)
 
 
-def test_from_sh_wraps_table_block():
-    pts = _rng(5).standard_normal((4, 3))
-    tab = solid_sh(2, pts, mode="normalized")
-    t = from_sh(tab, 2)
-    assert t.layout.entries == ((2, 1),)
-    assert t.block(0)[:, 0, :] == pytest.approx(tab.blocks[2])
-
-
 def test_tensor_rotate_matches_wigner_d():
     rng = _rng(6)
     t = random_tensor([(0, 2), (1, 2), (2, 2)], n=3, seed=6)
@@ -90,17 +74,6 @@ def test_tensor_rotate_matches_wigner_d():
 
 
 # -- coupling tables ---------------------------------------------------------
-
-
-def test_sparse_and_dense_tables_agree():
-    for l1, l2, l3 in [(1, 1, 2), (2, 1, 1), (2, 2, 4)]:
-        i1, i2, i3, vals = sparse_cg(l1, l2, l3)
-        w = dense_w(l1, l2, l3)
-        d2 = 2 * l2 + 1
-        rebuilt = np.zeros_like(w)
-        rebuilt[i1 * d2 + i2, i3] = vals
-        assert np.array_equal(rebuilt, w)
-        assert not w.flags.writeable
 
 
 def test_pathspec_rejects_triangle_violation():
@@ -222,7 +195,8 @@ def _couple_tree(tree, sh1):
         return 1, sh1[tree]
     (la, va), (lb, vb) = _couple_tree(tree[0], sh1), _couple_tree(tree[1], sh1)
     lo = la + lb
-    return lo, (va[:, None] * vb[None, :]).reshape(-1) @ dense_w(la, lb, lo)
+    w = real_cg_table(la, lb, lo).reshape(-1, 2 * lo + 1)
+    return lo, (va[:, None] * vb[None, :]).reshape(-1) @ w
 
 
 def test_top_projection_is_coupling_order_invariant():
@@ -269,7 +243,8 @@ def test_kappa_is_the_same_point_coupling_constant():
         tab = solid_sh(12, r, mode="normalized")
         for (u, l), val in kt.items():
             zu, zv = tab.block(u), tab.block(l - u)
-            got = (zu[:, None] * zv[None, :]).reshape(-1) @ dense_w(u, l - u, l)
+            w = real_cg_table(u, l - u, l).reshape(-1, 2 * l + 1)
+            got = (zu[:, None] * zv[None, :]).reshape(-1) @ w
             want = val * tab.block(l)
             assert got == pytest.approx(want, abs=1e-12 * max(1.0, np.abs(want).max()))
 
@@ -358,14 +333,3 @@ def test_wigner6j_tp_is_rotation_equivariant():
                  [PathSpec(1, 2, d) for d in (1, 2, 3)])
     turned = wigner6j_tp(ab_r, c.rotate(rot), 2, 2, (1, 2))
     assert turned.block(0) == pytest.approx(base.rotate(rot).block(0), abs=1e-9)
-
-
-def test_mix_channels():
-    t = random_tensor([(0, 2), (1, 2)], n=3, seed=40)
-    w = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]])
-    out = mix_channels(t, {1: w})
-    assert out.layout.entries == ((0, 2), (1, 3))
-    assert np.array_equal(out.block(0), t.block(0))
-    assert out.block(1) == pytest.approx(np.einsum("oc,ncm->nom", w, t.block(1)))
-    with pytest.raises(ValueError, match="input channels"):
-        mix_channels(t, {0: np.ones((2, 5))})
