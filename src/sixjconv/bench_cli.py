@@ -226,6 +226,16 @@ def _suite_equivalence(rng, n=10, k=3, lmax=2) -> str:
                 f"attention vs dense edge ({mode}, {ch} heads) rel err {err:.2e} "
                 f"at n={n} lmax={lmax} cloud seed 2024"
             )
+    for include_self in (False, True):
+        cfg = conv.ConvConfig(l_max=lmax, channels=ch, include_self=include_self)
+        oe = conv.edge_conv(graph.dense(n), cloud.positions, h, cfg)
+        om = conv.moments_conv(cloud.positions, h, cfg)
+        err = _rel_err(om.output.values, oe.output.values)
+        if err > EQUIV_TOL:
+            return (
+                f"moments vs dense edge (include_self={include_self}) rel err "
+                f"{err:.2e} at n={n} lmax={lmax} cloud seed 2024"
+            )
     cfg = conv.ConvConfig(l_max=lmax, channels=ch)
     tps = set()
     for kk in (2, 5, 8):

@@ -38,11 +38,14 @@ GEMM, then couples x with sh_u(r_i) through a per-node operator per output
 degree, built by one GEMM from the node harmonics and applied by one
 batched matmul. S and x of one d are released before the next.
 
-Every node-route call runs through the one entry ``_node_route``; a caller
-supplies stage 2 only: a sum over a graph's edges (``node_conv``), the dense
-sum (``attention_node_conv`` in every mode, and ``node_conv`` on a graph whose
-edges are every ordered pair, which its edge arrays show), or a sum over all
-nodes (``moments_conv``).
+Every node-route call runs through the one entry ``_node_route``: input
+checks, plan, counters and packing. ``node_conv`` and ``attention_node_conv``
+run the three stages and supply stage 2 only: a sum over a graph's edges, or
+the dense sum (``attention_node_conv`` in every mode, and ``node_conv`` on a
+graph whose edges are every ordered pair, which its edge arrays show).
+``moments_conv`` sums before it couples: S_i is the same sum over all nodes
+for every centre, so one set of global moments per call replaces stages 1
+and 2, and stage 3 is one GEMM per output degree.
 
 Normalization modes: "raw-solid" uses the solid harmonics as-is; "unit-Y"
 divides the degree-l edge harmonic by |r_ij|^l, which on the node route is
@@ -703,21 +706,32 @@ def _graph_stage2(graph, cfg: ConvConfig, alpha):
     return stage2
 
 
-def _node_route(positions, h: IrrepTensor, cfg: ConvConfig, stage2) -> ConvResult:
-    """The one node-route entry: input checks, plan, node harmonics,
-    counters, the three stages and packing.
+def _node_route(positions, h: IrrepTensor, cfg: ConvConfig, evaluate) -> ConvResult:
+    """The one node-route entry: input checks, plan, counters and packing.
 
-    ``stage2(positions, plan)`` returns the stage-2 ``aggregate`` function
-    of ``_node_stages``, the head count and the adds per aggregated row.
+    ``evaluate(positions, h, cfg, plan)`` returns the output blocks and the
+    adds per aggregated row: the three stages (``_staged``) or the global
+    moments (``_global_moments``).
     """
     positions = _check_inputs(positions, h, cfg)
     _check_node_degrees(h, cfg)
     plan = _node_plan(h.layout.degrees, cfg)
-    sh_table = solid_sh(plan.sh_degree, positions, mode="normalized")
-    aggregate, heads, adds = stage2(positions, plan)
+    out, adds = evaluate(positions, h, cfg, plan)
     counters = OpCounters(h.n_nodes * (plan.n_p + plan.n_applied), adds * plan.n_rows)
-    out = _node_stages(h, sh_table, plan, aggregate, heads, cfg)
     return ConvResult(_pack_out(out), counters)
+
+
+def _staged(stage2):
+    """The ``_node_route`` evaluation by ``_node_stages`` at the given
+    positions. ``stage2(positions, plan)`` returns the stage-2 ``aggregate``
+    function, the head count and the adds per aggregated row."""
+
+    def evaluate(positions, h: IrrepTensor, cfg: ConvConfig, plan: _NodePlan):
+        sh_table = solid_sh(plan.sh_degree, positions, mode="normalized")
+        aggregate, heads, adds = stage2(positions, plan)
+        return _node_stages(h, sh_table, plan, aggregate, heads, cfg), adds
+
+    return evaluate
 
 
 def node_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> ConvResult:
@@ -730,7 +744,7 @@ def node_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> 
     """
     if cfg.mode == "alg1-literal":
         raise ValueError("alg1-literal is an attention_node_conv mode")
-    return _node_route(positions, h, cfg, _graph_stage2(graph, cfg, alpha))
+    return _node_route(positions, h, cfg, _staged(_graph_stage2(graph, cfg, alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -785,23 +799,69 @@ def attention_node_conv(positions, h: IrrepTensor, alpha, cfg: ConvConfig) -> Co
             w[:, idx, idx] = 0.0
         return _dense_stage2(positions, w, plan, cfg)
 
-    return _node_route(positions, h, cfg, stage2)
+    return _node_route(positions, h, cfg, _staged(stage2))
+
+
+_Y00 = 0.5 / math.sqrt(math.pi)  # the normalized degree-0 harmonic, a constant
+
+
+def _global_moments(positions, h: IrrepTensor, cfg: ConvConfig, plan: _NodePlan):
+    """The ``_node_route`` evaluation of ``moments_conv`` (see there).
+
+    M^(a, v) holds the moments of every d of one stage-1 product as (D, C).
+    Per d, x = g^T M is folded into the recoupling table of each l_out, and
+    the tables accumulate into Q[l_out], with rows (u, m2) of sh(r_i).
+    """
+    n, c = h.n_nodes, cfg.channels
+    if (n if cfg.include_self else n - 1) <= 0:
+        return _out_zeros(n, cfg), n  # no pair to sum over
+    sh_tab = solid_sh(plan.sh_degree, positions - positions.mean(axis=0), mode="normalized")
+    m = {}
+    for a, v, table in plan.products:
+        wa, wv = 2 * a + 1, 2 * v + 1
+        z = sh_tab.blocks[v].T @ h.degree_block(a).reshape(n, c * wa)
+        m[a, v] = np.tensordot(table.reshape(wv, -1, wa), z.reshape(wv, c, wa),
+                               axes=([0, 2], [0, 2]))
+    sh = np.concatenate(sh_tab.blocks[:plan.sh_degree + 1], axis=1)
+    q = [np.zeros((sh.shape[1], c, 2 * l + 1)) for l in range(cfg.l_max + 1)]
+    for dp in plan.degrees:
+        width = 2 * dp.d + 1
+        rows = np.stack([m[a, v][o:o + width] for a, v, o in dp.rows])
+        x = dp.g.T @ rows.reshape(len(dp.rows), width * c)
+        for l_out, c0, c1, s0, s1, table in dp.outs:
+            k = (c1 - c0) * width
+            q[l_out][s0:s1] += x[c0:c1].reshape(k, c).T @ table.reshape(s1 - s0, k, -1)
+    out = [(sh @ ql.reshape(sh.shape[1], -1)).reshape(n, c, -1) for ql in q]
+    if not cfg.include_self and 0 in cfg.degrees:
+        # the j = i term is the edge term at r_ij = 0, where only the degree-0
+        # harmonic is nonzero, and the coupling (a, 0 -> a) is the identity
+        for a in h.layout.degrees:
+            if a <= cfg.l_max:
+                out[a] -= _Y00 * h.degree_block(a)
+    # the sum over j is global, so adds are counted per node
+    return out, n
 
 
 def moments_conv(positions, h: IrrepTensor, cfg: ConvConfig) -> ConvResult:
     """Dense-interaction convolution through global moments.
 
-    Equals node_conv on the fully dense graph with uniform weights; the
-    center's own contribution is subtracted per node unless
-    cfg.include_self. Only raw-solid mode factorizes this way (unit-Y
-    weights are pairwise, so they do not pull out of the j sum).
+    Equals node_conv on the fully dense graph with uniform weights. The sum
+    over j is the same for every centre, so it is formed once: the global
+    moments M^(a, v, d) = sum_j [h_j x sh_v(r_j)]^(d) take one GEMM per
+    stage-1 product, and the output one (N x (L+1)^2) GEMM per output
+    degree. Time and memory are O(N); no per-node product or operator is
+    built. Unless cfg.include_self, the j = i term is subtracted in closed
+    form: at r_ij = 0 only the degree-0 harmonic is nonzero, so the term is
+    Y_00 h_i at l_out = a, and nothing when 0 is not a harmonic degree.
+
+    Harmonics are taken about the centroid of ``positions``. The sum
+    depends on r_i - r_j only, so this is exact, and the result keeps its
+    1e-10 agreement with edge_conv wherever the cloud sits. ``OpCounters``
+    stay the node formula's logical counts, N x (j-side products + applied
+    recouplings) and adds per node, not the work done. Only raw-solid mode
+    factorizes this way (unit-Y weights are pairwise, so they do not pull
+    out of the j sum).
     """
     if cfg.mode != "raw-solid":
         raise ValueError("moments_conv requires raw-solid mode")
-
-    def aggregate(e, blocks):
-        m = blocks.sum(axis=1, keepdims=True)
-        return (m + np.zeros_like(blocks)) if cfg.include_self else (m - blocks)
-
-    # the sum over j is global, so adds are counted per node
-    return _node_route(positions, h, cfg, lambda pos, plan: (aggregate, 1, h.n_nodes))
+    return _node_route(positions, h, cfg, _global_moments)

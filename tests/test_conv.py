@@ -549,6 +549,44 @@ def test_moments_single_node():
     assert _rel(kept.output.values, want.output.values) < 1e-12
 
 
+@pytest.mark.parametrize("l_max", [3, 4, 6])
+def test_moments_route_is_translation_robust(l_max):
+    """The moments are taken about the centroid: expanded about the origin,
+    a shift of 100 put L=4 off by 2.8e-9 and a shift of 1e3 put L=6 off by
+    6.5 relative."""
+    n = 64
+    pos = random_cloud(n, seed=90).positions
+    h = _feat(n, l_max, 2, seed=91)
+    g = dense(n)
+    for include_self in (False, True):
+        cfg = ConvConfig(l_max=l_max, channels=2, include_self=include_self)
+        for shift in (0.0, 10.0, 100.0, 1e3):
+            moved = pos + shift * np.array([1.0, -0.6, 0.3])
+            want = edge_conv(g, moved, h, cfg).output.values
+            got = moments_conv(moved, h, cfg).output.values
+            assert _rel(got, want) < 1e-10, (include_self, shift)
+
+
+def test_moments_memory_peak():
+    """One set of global moments serves every centre: the output blocks, the
+    packed output and the node harmonics bound the peak. Per-node moments
+    read about 69x the features."""
+    import tracemalloc
+
+    n = 2000
+    cloud = random_cloud(n, seed=92)
+    h = _feat(n, 6, 8, seed=93)
+    cfg = ConvConfig(l_max=6, channels=8)
+    moments_conv(cloud.positions, h, cfg)  # coefficient tables and plan
+    tracemalloc.start()
+    try:
+        moments_conv(cloud.positions, h, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * h.values.nbytes
+
+
 # -- symmetry properties ----------------------------------------------------------
 
 
@@ -728,6 +766,10 @@ def _kernel_cases(l_max):
     yield "self", g, pos, random_tensor(full, 14, seed=50), ConvConfig(**raw), None
     yield ("one node", dense(1), single.positions, random_tensor(full, 1, seed=51),
            ConvConfig(**raw), None)
+    # no degree-0 harmonic: the j = i term vanishes, and moments subtract nothing
+    yield ("no degree 0", g, pos, random_tensor(full, 14, seed=58),
+           ConvConfig(l_max=l_max, channels=2, harmonic_degrees=tuple(range(1, l_max + 1)) or (1,)),
+           None)
 
 
 @pytest.mark.parametrize("l_max", range(7))
@@ -897,7 +939,7 @@ def _sparse_route_on_dense(pos, h, alpha, cfg):
     the explicit edge list (self edges under include_self)."""
     from dataclasses import replace
 
-    from sixjconv.conv import _edges_of, _node_route, _sparse_aggregator
+    from sixjconv.conv import _edges_of, _node_route, _sparse_aggregator, _staged
 
     n = h.n_nodes
     if cfg.mode == "alg1-literal":
@@ -910,7 +952,7 @@ def _sparse_route_on_dense(pos, h, alpha, cfg):
         agg = _sparse_aggregator(centers, sources, vals, dist, n)
         return agg, vals.shape[1], centers.shape[0]
 
-    return _node_route(pos, h, cfg, stage2)
+    return _node_route(pos, h, cfg, _staged(stage2))
 
 
 @pytest.mark.parametrize("mode, n, heads, include_self", [
