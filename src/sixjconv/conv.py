@@ -41,16 +41,15 @@ batched matmul. S and x of one d are released before the next.
 Every node-route call runs through the one entry ``_node_route``: input
 checks, plan, counters and packing. ``node_conv`` and ``attention_node_conv``
 run the three stages and supply stage 2 only: a sum over a graph's edges, or
-the dense sum (``attention_node_conv`` in every mode, and ``node_conv`` on a
-graph whose edges are every ordered pair, which its edge arrays show).
+the dense sum (``attention_node_conv``, and ``node_conv`` on a graph whose
+edges are every ordered pair, which its edge arrays show).
 ``moments_conv`` sums before it couples: S_i is the same sum over all nodes
 for every centre, so one set of global moments per call replaces stages 1
 and 2, and stage 3 is one GEMM per output degree.
 
 Normalization modes: "raw-solid" uses the solid harmonics as-is; "unit-Y"
 divides the degree-l edge harmonic by |r_ij|^l, which on the node route is
-absorbed into per-degree aggregation weights alpha_ij / |r_ij|^l. The mode
-"alg1-literal" is accepted by attention_node_conv only; see its docstring.
+absorbed into per-degree aggregation weights alpha_ij / |r_ij|^l.
 Internally all blocks live in the orthonormal real basis; see ``harmonics``
 for presentation conventions.
 
@@ -67,7 +66,7 @@ testable form of the complexity claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -90,13 +89,13 @@ __all__ = [
     "moments_conv",
 ]
 
-MODES = ("raw-solid", "unit-Y", "alg1-literal")
+MODES = ("raw-solid", "unit-Y")
 
-_EPS = 1e-8  # shortest edge a mode that divides by |r_ij| accepts
+_EPS = 1e-8  # shortest edge unit-Y, which divides by |r_ij|, accepts
 
 
 class DegenerateEdgeError(ValueError):
-    """An edge shorter than 1e-8 was hit in a mode that divides by distance."""
+    """An edge shorter than 1e-8 was hit in unit-Y mode, which divides by distance."""
 
 
 @dataclass(frozen=True)
@@ -293,15 +292,15 @@ def _pack_out(blocks) -> IrrepTensor:
     return IrrepTensor.from_blocks(entries, blocks)
 
 
-def _degenerate(dist, pair, what):
-    """Reject the first distance below _EPS; ``pair`` maps its flat index in
-    ``dist`` to the edge (i, j)."""
+def _degenerate(dist, pair):
+    """Reject the first distance below _EPS in unit-Y mode; ``pair`` maps its
+    flat index in ``dist`` to the edge (i, j)."""
     bad = np.flatnonzero(dist < _EPS)
     if bad.size:
         i, j = pair(bad[0])
         raise DegenerateEdgeError(
             f"edge ({i}, {j}) has |r_ij| = {dist.flat[bad[0]]:.3e} "
-            f"< eps = {_EPS:.1e} {what}"
+            f"< eps = {_EPS:.1e} in unit-Y mode"
         )
 
 
@@ -327,8 +326,6 @@ def edge_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> 
     Edge harmonics are evaluated inside this call on purpose: they are
     per-edge work and belong to this route's cost model.
     """
-    if cfg.mode == "alg1-literal":
-        raise ValueError("alg1-literal is an attention_node_conv mode")
     positions = _check_inputs(positions, h, cfg)
     n = h.n_nodes
     centers, sources = _edges_of(graph, cfg, n)
@@ -358,7 +355,7 @@ def edge_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> 
         tab = solid_sh(vmax, rij, mode="normalized")
         if cfg.mode == "unit-Y":
             dist = np.linalg.norm(rij, axis=1)
-            _degenerate(dist, lambda b: (cc[b], ss[b]), "in unit-Y mode")
+            _degenerate(dist, lambda b: (cc[b], ss[b]))
         # centers ascend within edge_arrays order, so runs of equal center
         # are contiguous and reduceat can pre-sum each run
         seg_starts = np.flatnonzero(np.r_[True, cc[1:] != cc[:-1]])
@@ -500,8 +497,8 @@ def _node_plan(h_degrees: tuple, cfg: ConvConfig) -> _NodePlan:
             for u in range(l + 1):
                 v = l - u
                 # stage-2 weights alpha_ij / |r_ij|^e: unit-Y divides the degree-l
-                # harmonic by |r_ij|^l, alg1-literal each binomial term by |r_ij|^v
-                e = l if cfg.mode == "unit-Y" else v if cfg.mode == "alg1-literal" else 0
+                # harmonic by |r_ij|^l
+                e = l if cfg.mode == "unit-Y" else 0
                 base = (-1.0) ** (l - u) * math.comb(l, u) / kappa.kappa(u, v, l)
                 for d in range(abs(a - v), a + v + 1):
                     for l_out in range(abs(d - u), min(d + u, cfg.l_max) + 1):
@@ -631,35 +628,22 @@ def _sparse_aggregator(centers, sources, vals, dist, n: int):
     return aggregate
 
 
-def _divisor(plan: _NodePlan, cfg: ConvConfig):
-    """How a DegenerateEdgeError names the division by |r_ij|, or None when
-    no stage-2 weight divides by it."""
-    exps = {run[0] for dp in plan.degrees for run in dp.runs}
-    if not exps or (cfg.mode != "unit-Y" and max(exps) == 0):
-        return None
-    if cfg.mode == "unit-Y":
-        return "in unit-Y mode"
-    return f"with exponent {min(x for x in exps if x)}"
-
-
 def _dense_stage2(positions, w, plan: _NodePlan, cfg: ConvConfig):
     """Stage 2 over every ordered pair i != j (and i == j under
     include_self): S_h = (w_h / |r_ij|^e) @ P_h, per head.
 
     ``w`` holds head-major weights (H, N, N), zero off the pairs. Each
     exponent's weight matrix is built once and applied to all heads by one
-    batched matmul. Every pair is checked for a degenerate distance,
-    whatever its weight. Adds are counted per pair.
+    batched matmul. In unit-Y mode every pair is checked for a degenerate
+    distance, whatever its weight. Adds are counted per pair.
     """
     heads, n, _ = w.shape
     dist = None
-    what = _divisor(plan, cfg)
-    if what is not None:
+    if cfg.mode == "unit-Y" and plan.degrees:
         dist = np.linalg.norm(positions[:, None] - positions[None], axis=2)
-        if not cfg.include_self:
-            # no self edge: it is not checked, and w / inf^e stays 0 there
-            np.fill_diagonal(dist, np.inf)
-        _degenerate(dist, lambda b: divmod(b, n), what)
+        # unit-Y has no self edge: it is not checked, and w / inf^e stays 0
+        np.fill_diagonal(dist, np.inf)
+        _degenerate(dist, lambda b: divmod(b, n))
     mats: dict = {}
 
     def aggregate(e, blocks):
@@ -696,10 +680,9 @@ def _graph_stage2(graph, cfg: ConvConfig, alpha):
             w[:, centers, sources] = vals.T
             return _dense_stage2(positions, w, plan, cfg)
         dist = None
-        what = _divisor(plan, cfg)
-        if what is not None:
+        if cfg.mode == "unit-Y" and plan.degrees:
             dist = np.linalg.norm(positions[centers] - positions[sources], axis=1)
-            _degenerate(dist, lambda b: (centers[b], sources[b]), what)
+            _degenerate(dist, lambda b: (centers[b], sources[b]))
         agg = _sparse_aggregator(centers, sources, vals, dist, n)
         return agg, vals.shape[1], centers.shape[0]
 
@@ -742,8 +725,6 @@ def node_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> 
     and the pair constants kappa are exact (``calibrate_pair_constants``).
     Output matches edge_conv on identical inputs to 1e-10.
     """
-    if cfg.mode == "alg1-literal":
-        raise ValueError("alg1-literal is an attention_node_conv mode")
     return _node_route(positions, h, cfg, _staged(_graph_stage2(graph, cfg, alpha)))
 
 
@@ -752,30 +733,17 @@ def node_conv(graph, positions, h: IrrepTensor, cfg: ConvConfig, alpha=None) -> 
 
 
 def attention_node_conv(positions, h: IrrepTensor, alpha, cfg: ConvConfig) -> ConvResult:
-    """Dense-attention node convolution (three normalization modes).
+    """Dense-attention node convolution.
 
     ``alpha`` holds dense (N, N) or (N, N, H) weights, as a raw array or as
     ``AttentionWeights.from_dense``; per-edge ``AttentionWeights`` are
-    rejected. Modes "raw-solid" and "unit-Y" sum all configured harmonic
-    degrees and equal the corresponding edge_conv/node_conv on the dense
-    graph with the same weights. Mode "alg1-literal" runs the single top
-    harmonic degree L = l_max with the per-term attention normalization
-    alpha / |r_ij|^k, k being the j-side degree of each binomial term; that
-    mixes radial scales across terms, so it matches neither plain-solid nor
-    unit-Y convolutions and is pinned by a golden regression test instead.
-
-    "alg1-literal" is also not translation invariant: each binomial term
-    carries its own power of |r_ij|, so the terms no longer sum to a
-    function of r_ij alone, and the output depends on the coordinate origin
-    of ``positions``. On 24 nodes at L=3, moving every position by 1 along x
-    changes it by 1.6 relative (1.2e-3 for a move of 1e-3), while raw-solid
-    and unit-Y change by rounding only. It is computed at the caller's
-    origin, as given.
+    rejected. The output equals edge_conv/node_conv on the dense graph with
+    the same weights, in either normalization mode.
 
     Stage 2 aggregates by one batched GEMM per head and weight exponent over
     a head-major copy of the weights, with the diagonal zeroed unless
-    cfg.include_self; no edge list is built. Every pair is still checked for
-    a degenerate distance in the modes that divide by it, whatever its weight.
+    cfg.include_self; no edge list is built. In unit-Y mode every pair is
+    still checked for a degenerate distance, whatever its weight.
     """
     n = h.n_nodes
     if not isinstance(alpha, AttentionWeights):
@@ -785,8 +753,6 @@ def attention_node_conv(positions, h: IrrepTensor, alpha, cfg: ConvConfig) -> Co
                          "AttentionWeights; pass the graph to node_conv instead")
     if alpha.values.shape[:2] != (n, n):
         raise ValueError("attention_node_conv needs dense (N, N) or (N, N, H) weights")
-    if cfg.mode == "alg1-literal":
-        cfg = replace(cfg, harmonic_degrees=(cfg.l_max,))
 
     def stage2(positions, plan: _NodePlan):
         _check_heads(alpha.heads, cfg.channels)

@@ -81,12 +81,12 @@ def _edge_conv_reference(g, pos, h, cfg, alpha=None):
 
 
 def _alg1_reference(pos, h, alpha, L, ch, kappa):
-    """Edge-wise oracle for the literal single-degree pipeline.
+    """Edge-wise form of the paper's literal Algorithm 1, which no library
+    route computes: dense weights, the single top harmonic degree L, and
+    each binomial term normalized by its own distance power.
 
-    Builds the per-edge mixed-scale harmonic directly (each binomial term
-    normalized by its own distance power) and couples features with it.
-    No recoupling coefficients are involved, so this path is independent
-    of the node-route plan it validates.
+    Builds the per-edge mixed-scale harmonic directly and couples features
+    with it; no recoupling coefficients are involved.
     """
     n = h.n_nodes
     degrees = h.layout.degrees
@@ -127,7 +127,7 @@ EDGE16_ROW0 = np.array([
 ])
 EDGE16_ABS_SUM = 497.39029551174553
 
-# node 0 of the 8-node dense system below, alg1-literal, L=2, 2 channels
+# node 0 of the 8-node dense system below, literal Algorithm 1, L=2, 2 channels
 ALG1_ROW0 = np.array([
     0.23653682260441655, -1.947874346397319, -0.2414649516983065,
     -1.9766885184234217, -2.449237663822373, -0.5097573543372447,
@@ -148,6 +148,9 @@ def test_conv_config_validation():
     assert cfg.mode == "raw-solid"
     with pytest.raises(ValueError, match="mode"):
         ConvConfig(l_max=2, channels=3, mode="spherical")
+    # the literal Algorithm 1 is no mode; it lives on in _alg1_reference
+    with pytest.raises(ValueError, match=r"mode must be one of \('raw-solid', 'unit-Y'\)"):
+        ConvConfig(l_max=2, channels=3, mode="alg1-literal", include_self=True)
     with pytest.raises(CapacityError):
         ConvConfig(l_max=13, channels=1)
     with pytest.raises(ValueError):
@@ -174,8 +177,6 @@ def test_node_route_rejects_l_max_beyond_its_coefficients():
     calls = (
         lambda: node_conv(g, cloud.positions, h, cfg),
         lambda: attention_node_conv(cloud.positions, h, ones, cfg),
-        lambda: attention_node_conv(cloud.positions, h, ones,
-                                    ConvConfig(l_max=7, channels=1, mode="alg1-literal")),
         lambda: moments_conv(cloud.positions, h, cfg),
     )
     for call in calls:
@@ -467,38 +468,12 @@ def test_attention_unit_y_equals_dense_edge_conv(system8):
 
 
 def test_alg1_literal_matches_mixed_scale_reference_and_golden(system8):
+    """The literal Algorithm 1 stays on record: its edge-wise reference
+    reproduces the frozen goldens."""
     cloud, h, alpha = system8
-    cfg = ConvConfig(l_max=2, channels=2, mode="alg1-literal")
-    got = attention_node_conv(cloud.positions, h, alpha, cfg).output.values
-    kappa = calibrate_pair_constants(2)
-    ref = _alg1_reference(cloud.positions, h, alpha, 2, 2, kappa)
-    assert _rel(got, ref) < 1e-10
-    assert got[0] == pytest.approx(ALG1_ROW0, rel=1e-12)
-    assert np.abs(got).sum() == pytest.approx(ALG1_ABS_SUM, rel=1e-12)
-
-
-def test_alg1_literal_is_a_distinct_operation(system8):
-    """The literal pipeline keeps only the top harmonic degree and scales
-    each binomial term by its own distance power, so it matches neither
-    standard mode."""
-    cloud, h, alpha = system8
-    got = attention_node_conv(
-        cloud.positions, h, alpha,
-        ConvConfig(l_max=2, channels=2, mode="alg1-literal")).output.values
-    for mode in ("raw-solid", "unit-Y"):
-        other = attention_node_conv(
-            cloud.positions, h, alpha,
-            ConvConfig(l_max=2, channels=2, mode=mode)).output.values
-        assert _rel(got, other) > 1e-2
-
-
-def test_alg1_literal_outside_attention_is_rejected(system16):
-    cloud, g, h = system16
-    cfg = ConvConfig(l_max=2, channels=3, mode="alg1-literal")
-    with pytest.raises(ValueError, match="attention_node_conv"):
-        edge_conv(g, cloud.positions, h, cfg)
-    with pytest.raises(ValueError, match="attention_node_conv"):
-        node_conv(g, cloud.positions, h, cfg)
+    ref = _alg1_reference(cloud.positions, h, alpha, 2, 2, calibrate_pair_constants(2))
+    assert ref[0] == pytest.approx(ALG1_ROW0, rel=1e-12)
+    assert np.abs(ref).sum() == pytest.approx(ALG1_ABS_SUM, rel=1e-12)
 
 
 def test_attention_rejects_non_square_alpha(system8):
@@ -835,16 +810,6 @@ def test_stage2_csr_is_the_per_channel_coo_product():
                 assert np.array_equal(got[k, :, :, :, c].reshape(n, -1), want)
 
 
-def test_alg1_literal_checks_its_inputs(system8):
-    cloud, h, alpha = system8
-    cfg = ConvConfig(l_max=2, channels=3, mode="alg1-literal")
-    with pytest.raises(ValueError, match="feature channels 2 do not match cfg.channels 3"):
-        attention_node_conv(cloud.positions, h, alpha, cfg)
-    ok = ConvConfig(l_max=2, channels=2, mode="alg1-literal")
-    with pytest.raises(ValueError, match=r"\(N, 3\)"):
-        attention_node_conv(cloud.positions[:, :2], h, alpha, ok)
-
-
 def test_caller_kappa_table_does_not_depend_on_call_order(system16):
     from sixjconv import conv
 
@@ -881,7 +846,7 @@ def test_unit_y_node_conv_memory_peak():
     assert peak < 200 * 2**20
 
 
-@pytest.mark.parametrize("mode", ["raw-solid", "unit-Y", "alg1-literal"])
+@pytest.mark.parametrize("mode", ["raw-solid", "unit-Y"])
 def test_attention_rejects_per_edge_weights(mode):
     # a (4, 4) per-edge array of a 4-node graph has the shape of dense
     # weights; it must not be read as dense because its shape fits
@@ -930,20 +895,15 @@ def test_unit_y_rejects_include_self_when_built():
     # unit-Y divides by |r_ij|, and the self edge has length 0 at any l_max
     with pytest.raises(ValueError, match=r"mode='unit-Y'.*include_self=True"):
         ConvConfig(l_max=0, channels=1, mode="unit-Y", include_self=True)
-    for mode in ("raw-solid", "alg1-literal"):
-        assert ConvConfig(l_max=0, channels=1, mode=mode, include_self=True).include_self
+    assert ConvConfig(l_max=0, channels=1, mode="raw-solid", include_self=True).include_self
 
 
 def _sparse_route_on_dense(pos, h, alpha, cfg):
     """The graph route on ``dense(n)``: stage 2 as one sparse product over
     the explicit edge list (self edges under include_self)."""
-    from dataclasses import replace
-
     from sixjconv.conv import _edges_of, _node_route, _sparse_aggregator, _staged
 
     n = h.n_nodes
-    if cfg.mode == "alg1-literal":
-        cfg = replace(cfg, harmonic_degrees=(cfg.l_max,))
     centers, sources = _edges_of(dense(n), cfg, n)
     vals = AttentionWeights.from_dense(alpha).edge_values(centers, sources)
     dist = np.linalg.norm(pos[centers] - pos[sources], axis=1)
@@ -957,7 +917,7 @@ def _sparse_route_on_dense(pos, h, alpha, cfg):
 
 @pytest.mark.parametrize("mode, n, heads, include_self", [
     (mode, n, heads, False)
-    for mode in ("raw-solid", "unit-Y", "alg1-literal")
+    for mode in ("raw-solid", "unit-Y")
     for n, heads in ((9, None), (9, 4), (1, 4))
 ] + [("raw-solid", 9, 4, True), ("raw-solid", 1, None, True)])
 def test_dense_stage2_matches_graph_route_on_dense(mode, n, heads, include_self):
@@ -970,8 +930,6 @@ def test_dense_stage2_matches_graph_route_on_dense(mode, n, heads, include_self)
     want = _sparse_route_on_dense(cloud.positions, h, alpha, cfg)
     assert _rel(got.output.values, want.output.values) < 1e-12
     assert got.counters == want.counters
-    if mode == "alg1-literal":
-        return
     # node_conv on the complete graph, with the same weights given per edge
     g = dense(n)
     if not include_self:
@@ -983,7 +941,7 @@ def test_dense_stage2_matches_graph_route_on_dense(mode, n, heads, include_self)
     assert _rel(got.output.values, oe.output.values) < 1e-10
 
 
-@pytest.mark.parametrize("mode", ["unit-Y", "alg1-literal"])
+@pytest.mark.parametrize("mode", ["unit-Y"])
 def test_dense_stage2_rejects_a_coincident_pair_whatever_its_weight(mode):
     import re
 
@@ -992,16 +950,14 @@ def test_dense_stage2_rejects_a_coincident_pair_whatever_its_weight(mode):
     pos[4] = pos[1]
     h = _feat(n, 1, 2, seed=74)
     cfg = ConvConfig(l_max=1, channels=2, mode=mode)
-    what = "in unit-Y mode" if mode == "unit-Y" else "with exponent 1"
-    msg = re.escape(f"edge (1, 4) has |r_ij| = 0.000e+00 < eps = 1.0e-08 {what}")
+    msg = re.escape("edge (1, 4) has |r_ij| = 0.000e+00 < eps = 1.0e-08 in unit-Y mode")
     for weight in (1.0, 0.0):
         alpha = np.ones((n, n, 2))
         alpha[1, 4] = alpha[4, 1] = weight
         with pytest.raises(DegenerateEdgeError, match=msg):
             attention_node_conv(pos, h, alpha, cfg)
-        if mode == "unit-Y":
-            with pytest.raises(DegenerateEdgeError, match=msg):
-                node_conv(dense(n), pos, h, cfg, alpha=AttentionWeights.from_dense(alpha))
+        with pytest.raises(DegenerateEdgeError, match=msg):
+            node_conv(dense(n), pos, h, cfg, alpha=AttentionWeights.from_dense(alpha))
 
 
 def test_node_conv_on_a_near_complete_graph_keeps_its_edges():
@@ -1090,18 +1046,19 @@ def test_neighbor_indices_must_name_nodes(route, bad):
 
 
 def test_alg1_literal_depends_on_the_coordinate_origin():
-    """Each binomial term of alg1-literal carries its own power of |r_ij|, so
-    its output moves with the origin; raw-solid and unit-Y do not."""
+    """Each binomial term of the literal Algorithm 1 carries its own power of
+    |r_ij|, so its output (``_alg1_reference``) moves with the origin;
+    raw-solid and unit-Y do not."""
     n, L = 24, 3
     pos = random_cloud(n, seed=3).positions
     h = _feat(n, L, 2, seed=4)
     alpha = _rng(1).uniform(0.5, 1.5, (n, n))
-    moved = {}
-    for mode in ("raw-solid", "unit-Y", "alg1-literal"):
+    shift = np.array([1.0, 0.0, 0.0])
+    for mode in ("raw-solid", "unit-Y"):
         cfg = ConvConfig(l_max=L, channels=2, mode=mode)
         base = attention_node_conv(pos, h, alpha, cfg).output.values
-        shifted = attention_node_conv(pos + [1.0, 0.0, 0.0], h, alpha, cfg).output.values
-        moved[mode] = _rel(shifted, base)
-    assert moved["raw-solid"] < 1e-10
-    assert moved["unit-Y"] < 1e-10
-    assert moved["alg1-literal"] > 0.1
+        shifted = attention_node_conv(pos + shift, h, alpha, cfg).output.values
+        assert _rel(shifted, base) < 1e-10
+    kappa = calibrate_pair_constants(L)
+    base = _alg1_reference(pos, h, alpha, L, 2, kappa)
+    assert _rel(_alg1_reference(pos + shift, h, alpha, L, 2, kappa), base) > 0.1
