@@ -8,16 +8,20 @@ Conventions (frozen for the whole library):
 * Real-basis coupling tables are obtained by conjugating the complex CG
   tensor with the real<->complex change-of-basis matrices per degree, times
   the parity phase i^(l1+l2-l3) that makes every allowed table purely real.
-* Integer angular momenta only.
+* Integer angular momenta only; any other entry raises ValueError.
 
 The alternating Racah sums are accumulated in exact integer/rational
 arithmetic (``fractions.Fraction``); square roots happen once, at the final
 conversion to float. Naive float factorials lose all precision above j ~ 8.
+Values are memoized under the key as asked. The 3j and 6j symmetries map
+these exact rationals to +-1 times each other, so symmetric keys give the
+same float up to that sign without a search for a shared key.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -170,60 +174,21 @@ def _wigner6j_exact(j1, j2, j3, j4, j5, j6) -> float:
     return -w if (j1 + j2 + j4 + j5) % 2 else w
 
 
-# ---------------------------------------------------------------------------
-# canonicalization (only symmetries from the classical lists are applied)
-
-_EVEN_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-_ODD_PERMS = ((0, 2, 1), (1, 0, 2), (2, 1, 0))
-
-
-def _canonical_3j(key: TripleKey):
-    """Smallest equivalent key under column permutations and m-negation.
-
-    Returns (canonical_key, sign_exponent); the stored value times
-    (-1)^(sign_exponent * (j1+j2+j3)) is the requested value.
-    """
-    j = (key.j1, key.j2, key.j3)
-    m = (key.m1, key.m2, key.m3)
-    best = None
-    best_exp = 0
-    for perms, exp_p in ((_EVEN_PERMS, 0), (_ODD_PERMS, 1)):
-        for p in perms:
-            for neg, exp_n in ((1, 0), (-1, 1)):
-                cand = TripleKey(
-                    j[p[0]], j[p[1]], j[p[2]],
-                    neg * m[p[0]], neg * m[p[1]], neg * m[p[2]],
-                )
-                if best is None or cand < best:
-                    best = cand
-                    best_exp = (exp_p + exp_n) % 2
-    return best, best_exp
-
-
-def _canonical_6j(key: SixJKey):
-    """Smallest equivalent key under the 24 tetrahedral symmetries (no phase)."""
-    cols = ((key.j1, key.j4), (key.j2, key.j5), (key.j3, key.j6))
-    best = None
-    for p in _EVEN_PERMS + _ODD_PERMS:
-        c = (cols[p[0]], cols[p[1]], cols[p[2]])
-        # exchanging upper and lower entries in exactly two columns
-        for flip in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)):
-            cand = SixJKey(
-                c[0][flip[0]], c[1][flip[1]], c[2][flip[2]],
-                c[0][1 - flip[0]], c[1][1 - flip[1]], c[2][1 - flip[2]],
-            )
-            if best is None or cand < best:
-                best = cand
-    return best
+def _int_entries(key) -> tuple:
+    """The entries of ``key`` as Python ints; numpy integers are accepted."""
+    try:
+        return tuple(map(operator.index, key))
+    except TypeError:
+        raise ValueError(f"angular momenta must be integers, got {key!r}") from None
 
 
 class CoefficientCache:
-    """Memoized 3j and 6j values behind symmetry canonicalization.
+    """Memoized exact 3j and 6j values, keyed by the tuple as asked.
 
-    Lookups are lock-free once a key's canonical class has been inserted
-    (plain dict reads); insertions take an internal lock, so concurrent
-    readers and writers are safe. Each value is computed at its first
-    lookup; nothing is precomputed.
+    Reads are plain dict lookups; insertions take an internal lock, so
+    concurrent readers and writers are safe. Each value is computed at its
+    first lookup; nothing is precomputed. A key with a non-integer entry
+    raises ValueError before the cache is read.
     """
 
     def __init__(self, j_max: int = DEFAULT_J_MAX):
@@ -240,29 +205,25 @@ class CoefficientCache:
                 raise CapacityError(f"degree {j} exceeds J_max={self.j_max}")
 
     def wigner3j(self, key) -> float:
-        key = TripleKey(*key)
+        key = TripleKey(*_int_entries(key))
         self._check(key.j1, key.j2, key.j3)
-        canon, sign_exp = _canonical_3j(key)
         try:
-            val = self._w3j[canon]
+            return self._w3j[key]
         except KeyError:
-            val = _wigner3j_exact(*canon)
+            val = _wigner3j_exact(*key)
             with self._lock:
-                self._w3j[canon] = val
-        if sign_exp and (key.j1 + key.j2 + key.j3) % 2:
-            return -val
-        return val
+                self._w3j[key] = val
+            return val
 
     def wigner6j(self, key) -> float:
-        key = SixJKey(*key)
+        key = SixJKey(*_int_entries(key))
         self._check(*key)
-        canon = _canonical_6j(key)
         try:
-            return self._w6j[canon]
+            return self._w6j[key]
         except KeyError:
-            val = _wigner6j_exact(*canon)
+            val = _wigner6j_exact(*key)
             with self._lock:
-                self._w6j[canon] = val
+                self._w6j[key] = val
             return val
 
 
@@ -317,25 +278,35 @@ def _real_basis_matrix(l: int) -> np.ndarray:
     return u
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def real_cg_table(l1: int, l2: int, l3: int) -> np.ndarray:
     """Real-basis coupling table W[m1, m2, m3], shape (2l1+1, 2l2+1, 2l3+1).
 
     Contracting W with real-basis components couples degrees (l1, l2) into
     degree l3; every allowed parity path yields a purely real table thanks to
     the i^(l1+l2-l3) phase. A residual imaginary part above 1e-12 signals a
-    basis bug and raises ConventionError.
+    basis bug and raises ConventionError. Non-integer degrees raise
+    ValueError (the cache is typed, so 1.0 never reads the entry of 1).
     """
+    l1, l2, l3 = _int_entries((l1, l2, l3))
     default_cache._check(l1, l2, l3)
     d1, d2, d3 = 2 * l1 + 1, 2 * l2 + 1, 2 * l3 + 1
     if not triangle_ok(l1, l2, l3):
         return np.zeros((d1, d2, d3))
+    # Complex CG with m3 > 0, or m3 = 0 and m1 >= 0, evaluated; the rest
+    # follows from C(-m) = (-1)^(l1+l2-l3) C(m). Zeros are left unwritten so
+    # no entry becomes -0.0.
+    phase = -1.0 if (l1 + l2 - l3) % 2 else 1.0
     cg = np.zeros((d1, d2, d3))
-    for mu1 in range(-l1, l1 + 1):
-        for mu2 in range(-l2, l2 + 1):
-            mu3 = mu1 + mu2
-            if abs(mu3) <= l3:
-                cg[mu1 + l1, mu2 + l2, mu3 + l3] = clebsch_gordan(l1, mu1, l2, mu2, l3, mu3)
+    for mu3 in range(l3 + 1):
+        for mu1 in range(-l1 if mu3 else 0, l1 + 1):
+            mu2 = mu3 - mu1
+            if abs(mu2) > l2:
+                continue
+            c = clebsch_gordan(l1, mu1, l2, mu2, l3, mu3)
+            if c:
+                cg[l1 + mu1, l2 + mu2, l3 + mu3] = c
+                cg[l1 - mu1, l2 - mu2, l3 - mu3] = phase * c
     u1 = _real_basis_matrix(l1)
     u2 = _real_basis_matrix(l2)
     u3 = _real_basis_matrix(l3)

@@ -141,7 +141,7 @@ class KappaTable:
         if l != u + v:
             raise KeyError(f"kappa is defined for maximal couplings only, got ({u},{v})->{l}")
         if l > self.l_max:
-            raise KeyError(f"kappa({u},{v}->{l}) beyond calibrated l_max={self.l_max}")
+            raise KeyError(f"kappa({u},{v}->{l}) beyond the table's l_max={self.l_max}")
         return self._values[(u, l)]
 
     def items(self):

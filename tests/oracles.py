@@ -5,6 +5,9 @@ tables (``angular.real_cg_table``) directly. These are the slow, literal
 forms of the same algebra:
 
 * ``real_cg``: one scalar entry of a real coupling table, for naive loops.
+* ``real_cg_table_per_entry``: a real coupling table with every complex
+  entry from its own ``clebsch_gordan`` call, where the library evaluates
+  half and mirrors the rest by m -> -m.
 * ``cg_tp``: Clebsch-Gordan tensor product along explicit coupling paths.
 * ``project``: extraction of one degree's blocks.
 * ``wigner6j_tp``: the recoupled product. For pure-degree factors A (degree
@@ -32,7 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sixjconv.angular import default_cache, real_cg_table, triangle_ok
+from sixjconv.angular import (
+    _real_basis_matrix,
+    clebsch_gordan,
+    default_cache,
+    real_cg_table,
+    triangle_ok,
+)
 from sixjconv.conv import AttentionWeights
 from sixjconv.harmonics import presentation_scale, solid_sh
 from sixjconv.irreps import IrrepsLayout, IrrepTensor
@@ -43,6 +52,24 @@ def real_cg(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
     if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
         raise ValueError("|m| > l")
     return float(real_cg_table(l1, l2, l3)[m1 + l1, m2 + l2, m3 + l3])
+
+
+def real_cg_table_per_entry(l1: int, l2: int, l3: int) -> np.ndarray:
+    """``real_cg_table`` built from one ``clebsch_gordan`` call per entry."""
+    d1, d2, d3 = 2 * l1 + 1, 2 * l2 + 1, 2 * l3 + 1
+    cg = np.zeros((d1, d2, d3))
+    if not triangle_ok(l1, l2, l3):
+        return cg
+    for mu1 in range(-l1, l1 + 1):
+        for mu2 in range(-l2, l2 + 1):
+            mu3 = mu1 + mu2
+            if abs(mu3) <= l3:
+                cg[mu1 + l1, mu2 + l2, mu3 + l3] = clebsch_gordan(l1, mu1, l2, mu2, l3, mu3)
+    table = np.einsum("cw,uvw,au,bv->abc", _real_basis_matrix(l3), cg.astype(complex),
+                      _real_basis_matrix(l1).conj(), _real_basis_matrix(l2).conj(),
+                      optimize=True)
+    table *= 1j ** (l1 + l2 - l3)
+    return np.ascontiguousarray(table.real)
 
 
 @dataclass(frozen=True)

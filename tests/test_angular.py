@@ -9,7 +9,7 @@ from sympy.physics.wigner import clebsch_gordan as sp_cg
 from sympy.physics.wigner import wigner_3j as sp_3j
 from sympy.physics.wigner import wigner_6j as sp_6j
 
-from oracles import real_cg
+from oracles import real_cg, real_cg_table_per_entry
 from sixjconv.angular import (
     CapacityError,
     CoefficientCache,
@@ -23,6 +23,7 @@ from sixjconv.angular import (
 )
 
 TOL = 1e-14
+J_MAX = default_cache.j_max
 
 
 def _admissible_triples(j_hi):
@@ -101,10 +102,12 @@ def test_wigner3j_zero_outside_selection_rules():
 
 
 def test_wigner3j_symmetries():
+    # Exact: the Racah sums are rationals that the symmetries map to +-1 times
+    # each other, so symmetric keys convert to the same float, phase applied.
     rng = np.random.default_rng(np.random.Philox(key=43))
     for _ in range(40):
-        j1, j2 = (int(x) for x in rng.integers(0, 4, size=2))
-        j3 = int(rng.integers(abs(j1 - j2), j1 + j2 + 1))
+        j1, j2 = (int(x) for x in rng.integers(0, J_MAX + 1, size=2))
+        j3 = int(rng.integers(abs(j1 - j2), min(j1 + j2, J_MAX) + 1))
         m1 = int(rng.integers(-j1, j1 + 1))
         m2 = int(rng.integers(-j2, j2 + 1))
         m3 = -m1 - m2
@@ -113,28 +116,28 @@ def test_wigner3j_symmetries():
         base = wigner3j((j1, j2, j3, m1, m2, m3))
         sgn = (-1.0) ** (j1 + j2 + j3)
         # even column permutation: invariant
-        assert wigner3j((j2, j3, j1, m2, m3, m1)) == pytest.approx(base, abs=TOL)
+        assert wigner3j((j2, j3, j1, m2, m3, m1)) == base
         # odd column permutation and m negation: phase (-1)^(j1+j2+j3)
-        assert wigner3j((j2, j1, j3, m2, m1, m3)) == pytest.approx(sgn * base, abs=TOL)
-        assert wigner3j((j1, j2, j3, -m1, -m2, -m3)) == pytest.approx(sgn * base, abs=TOL)
+        assert wigner3j((j2, j1, j3, m2, m1, m3)) == sgn * base
+        assert wigner3j((j1, j2, j3, -m1, -m2, -m3)) == sgn * base
 
 
 def test_wigner6j_symmetries():
     rng = np.random.default_rng(np.random.Philox(key=44))
     checked = 0
     while checked < 40:
-        j = [int(x) for x in rng.integers(0, 4, size=6)]
+        j = [int(x) for x in rng.integers(0, J_MAX + 1, size=6)]
         j1, j2, j3, j4, j5, j6 = j
         if not (triangle_ok(j1, j2, j3) and triangle_ok(j1, j5, j6)
                 and triangle_ok(j4, j2, j6) and triangle_ok(j4, j5, j3)):
             continue
         base = wigner6j((j1, j2, j3, j4, j5, j6))
         # column permutations of {(j1,j4),(j2,j5),(j3,j6)} are symmetries
-        assert wigner6j((j2, j1, j3, j5, j4, j6)) == pytest.approx(base, abs=TOL)
-        assert wigner6j((j3, j2, j1, j6, j5, j4)) == pytest.approx(base, abs=TOL)
+        assert wigner6j((j2, j1, j3, j5, j4, j6)) == base
+        assert wigner6j((j3, j2, j1, j6, j5, j4)) == base
         # swapping upper and lower entries of any two columns is one too
-        assert wigner6j((j4, j5, j3, j1, j2, j6)) == pytest.approx(base, abs=TOL)
-        assert wigner6j((j1, j5, j6, j4, j2, j3)) == pytest.approx(base, abs=TOL)
+        assert wigner6j((j4, j5, j3, j1, j2, j6)) == base
+        assert wigner6j((j1, j5, j6, j4, j2, j3)) == base
         checked += 1
 
 
@@ -156,6 +159,28 @@ def test_capacity_and_validation():
         cache.wigner3j((3, 3, 3, 0, 0, 0))
 
 
+def test_non_integer_keys_raise_whatever_the_caches_hold():
+    # Asked before and after the integer key is cached: the answer must not
+    # depend on what an earlier call left behind.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="must be integers"):
+            wigner3j((1.0, 1, 2, 0, 0, 0))
+        with pytest.raises(ValueError, match="must be integers"):
+            wigner6j((1, 1, 1, 1, 1, 1.5))
+        with pytest.raises(ValueError, match="must be integers"):
+            real_cg_table(1.0, 1, 2)
+        with pytest.raises(ValueError, match="must be integers"):
+            CoefficientCache().wigner3j((np.float64(1), 1, 2, 0, 0, 0))
+        assert wigner3j((1, 1, 2, 0, 0, 0)) == pytest.approx(math.sqrt(2 / 15), abs=TOL)
+        assert wigner6j((1, 1, 1, 1, 1, 1)) == pytest.approx(1 / 6, abs=TOL)
+        real_cg_table(1, 1, 2)
+    # numpy integers are integers
+    key = tuple(np.int64(x) for x in (2, 1, 3, 1, -1, 0))
+    assert wigner3j(key) == wigner3j((2, 1, 3, 1, -1, 0))
+    assert wigner6j(np.full(6, 2)) == wigner6j((2, 2, 2, 2, 2, 2))
+    assert np.array_equal(real_cg_table(np.int64(2), 1, 2), real_cg_table(2, 1, 2))
+
+
 def test_clebsch_gordan_matches_sympy():
     rng = np.random.default_rng(np.random.Philox(key=45))
     for _ in range(40):
@@ -175,6 +200,14 @@ def test_real_cg_table_shape_and_triangle_zero():
     assert t.shape == (3, 5, 5)
     assert not t.flags.writeable
     assert np.all(real_cg_table(1, 1, 3) == 0.0)
+
+
+def test_real_cg_table_matches_per_entry_construction():
+    # Bitwise: the half-table mirror by m -> -m changes no entry.
+    triples = list(_admissible_triples(J_MAX))
+    assert len(triples) == 1105
+    for l1, l2, l3 in triples:
+        assert np.array_equal(real_cg_table(l1, l2, l3), real_cg_table_per_entry(l1, l2, l3))
 
 
 def test_real_cg_scalar_matches_table():

@@ -228,7 +228,7 @@ def test_kappa_table_properties():
         assert kt.kappa(v, u, l) == pytest.approx(val, rel=1e-12)
         seen += 1
     assert seen > 0
-    with pytest.raises(KeyError, match="beyond calibrated"):
+    with pytest.raises(KeyError, match="beyond the table's l_max"):
         kt.kappa(2, 3, 5)
     with pytest.raises(KeyError, match="maximal couplings"):
         kt.kappa(2, 2, 3)
